@@ -14,9 +14,9 @@
 // predicate descriptions are memoized across questions, keyed by (phrase,
 // endpoint identity, mode).
 //
-// Cancellation: with Config::cooperative_cancellation set, probes issued
-// after the calling thread's util::CancelToken expires fail fast at the
-// endpoint, and *no* result computed on-or-after the expiry is written to
+// Cancellation: probes issued after the calling thread's util::CancelToken
+// expires fail fast at the endpoint, and *no* result computed on-or-after
+// the expiry is written to
 // the linking cache — a cancelled wave must not poison the cache with
 // partial (typically empty) link sets for later questions.
 

@@ -53,7 +53,8 @@ util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
   return QueryBatch(sparql, 1);
 }
 
-bool Endpoint::CancellableSleepUs(int64_t us) {
+bool Endpoint::SleepInjectedLatency() const {
+  const int64_t us = injected_latency_us_.load(std::memory_order_relaxed);
   if (us <= 0) return true;
   // Chunked sleep so an expiring deadline interrupts the simulated network
   // wait promptly instead of after the full injected latency.
@@ -64,11 +65,6 @@ bool Endpoint::CancellableSleepUs(int64_t us) {
     std::this_thread::sleep_for(std::chrono::microseconds(kChunkUs));
   }
   return !util::Cancelled();
-}
-
-bool Endpoint::SleepInjectedLatency() const {
-  return CancellableSleepUs(
-      injected_latency_us_.load(std::memory_order_relaxed));
 }
 
 void Endpoint::RecordCancelled() {

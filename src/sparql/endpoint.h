@@ -6,9 +6,9 @@
 // accounting, tracing, cancellation and injected-latency behavior shared by
 // every backend, and leaves storage and evaluation to subclasses.
 // `LocalEndpoint` is the original single-store backend (one TripleStore +
-// its built-in full-text index); `serve::ShardedEndpoint` partitions the
-// same KG across subject-hash shards behind the identical API.  Engine,
-// QaServer, the answer cache and the admin plane only ever see `Endpoint`.
+// its built-in full-text index); `CompactEndpoint` serves the same KG from
+// the compressed CSR store behind the identical API.  Engine, QaServer,
+// the answer cache and the admin plane only ever see `Endpoint`.
 //
 // Thread-safety: Query() may be called concurrently from any number of
 // threads (the store, text index and evaluator are read-only on the query
@@ -107,11 +107,10 @@ class Endpoint {
 
   // Physical store layout, for index-building baselines (which, unlike
   // KGQAn, pre-process the KG) and tests.  The accessors are
-  // backend-agnostic — v1 arrays, subject-hash shards and the compressed
-  // compact store all answer them — so facade consumers never name a
-  // concrete store type.  Iterating every shard's MatchShard visits every
-  // triple exactly once; term ids are endpoint-global (sharded backends
-  // share one dictionary).
+  // backend-agnostic — v1 arrays and the compressed compact store both
+  // answer them — so facade consumers never name a concrete store type.
+  // Iterating every shard's MatchShard visits every triple exactly once;
+  // term ids are endpoint-global.
   virtual size_t num_store_shards() const = 0;
   // Calls `fn(triple)` for every triple of shard `shard` matching the
   // pattern (kNullTermId components are wildcards); `fn` returns false to
@@ -195,8 +194,8 @@ class Endpoint {
 
   // Backend hook: parse and evaluate one query text.  Runs outside the
   // data lock — implementations take the shared data_mutex() themselves,
-  // so backend-specific pre-evaluation waits (e.g. a sharded endpoint's
-  // per-shard latency injection) never stall AddNTriples writers.
+  // so backend-specific pre-evaluation waits never stall AddNTriples
+  // writers.
   virtual util::StatusOr<ResultSet> EvaluateQuery(std::string_view sparql) = 0;
 
   // Backend hook: insert pre-parsed term triples and refresh any derived
@@ -209,26 +208,21 @@ class Endpoint {
   // (unique, taken by AddNTriples).
   std::shared_mutex& data_mutex() { return data_mutex_; }
 
-  // Sleeps ~`us` microseconds in 200µs chunks, polling the calling
-  // thread's cancellation token; false when the deadline expired mid-wait.
-  static bool CancellableSleepUs(int64_t us);
-
-  // Records one cancelled query (metrics + trace attribution).
-  void RecordCancelled();
-
   // Sets registry gauge `name` to an absolute value (gauges only expose
   // Add/Sub, so this publishes the delta against the live value).  Used
   // by backends to surface store memory in /stats: `store.index_bytes`,
-  // `store.dict_bytes`, `store.overlay_triples` (suffixed `.<shard>` on
-  // sharded backends).
+  // `store.dict_bytes`, `store.overlay_triples`.
   static void SetGauge(std::string_view name, size_t value);
 
   EvalOptions eval_options_;
 
  private:
-  // Sleeps the injected latency in small chunks, returning false if the
+  // Sleeps the injected latency in 200µs chunks, returning false if the
   // calling thread's cancellation token expired mid-wait.
   bool SleepInjectedLatency() const;
+
+  // Records one cancelled query (metrics + trace attribution).
+  void RecordCancelled();
 
   std::string name_;
   // Workers for sharded evaluation (eval_options_.eval_pool points here);

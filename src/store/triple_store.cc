@@ -35,13 +35,6 @@ TripleStore::TripleStore(rdf::Graph graph, size_t build_threads)
                build_threads);
 }
 
-TripleStore::TripleStore(std::vector<Triple> triples,
-                         const rdf::TermDictionary* shared_dictionary,
-                         size_t build_threads)
-    : shared_dict_(shared_dictionary) {
-  BuildIndexes(std::move(triples), build_threads);
-}
-
 size_t TripleStore::Insert(
     const std::vector<std::array<rdf::Term, 3>>& triples) {
   // Intern and deduplicate the batch against the existing store.
@@ -57,10 +50,6 @@ size_t TripleStore::Insert(
   }
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  return InsertIds(std::move(fresh));
-}
-
-size_t TripleStore::InsertIds(std::vector<Triple> fresh) {
   if (fresh.empty()) return 0;
   for (size_t i = 0; i < 6; ++i) {
     Perm perm = static_cast<Perm>(i);

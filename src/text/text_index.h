@@ -64,18 +64,10 @@ class TextIndex {
 
   // Returns ids of literal terms satisfying `query`, ranked by how many
   // distinct query words the literal contains (descending), truncated to
-  // `limit`.  The ranking makes maxVR truncation keep the best candidates,
-  // as a relevance-ordered text index would.
+  // `limit`; ties go to the lower id.  The ranking makes maxVR truncation
+  // keep the best candidates, as a relevance-ordered text index would.
   std::vector<rdf::TermId> MatchLiterals(const ContainsQuery& query,
                                          size_t limit) const;
-
-  // MatchLiterals with the scores kept: (word hits, literal id), ranked
-  // (hits descending, id ascending), truncated to `limit`.  Scores are
-  // literal-local (distinct query words the literal contains — no corpus
-  // statistics), so per-shard top-k lists merge rank-stably into the exact
-  // global top-k: ShardedTextIndex's contract.
-  std::vector<std::pair<uint32_t, rdf::TermId>> MatchLiteralsScored(
-      const ContainsQuery& query, size_t limit) const;
 
   // Number of indexed (token -> literal) postings.
   size_t posting_count() const { return posting_count_; }

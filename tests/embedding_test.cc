@@ -185,8 +185,11 @@ TEST(AffinityTest, ScoresAreSymmetricAndBounded) {
 
 // Parameterized sweep: every pair of words inside a lexicon cluster must
 // be closer than a fixed margin over any cross-cluster pair baseline.
+// The words are held as std::string so gtest prints them by value: a
+// const char* prints with its (ASLR-randomised) address, which would give
+// every discovered ctest name a different spelling on each build.
 class ClusterCohesionTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(ClusterCohesionTest, InClusterPairsAreClose) {
   static SubwordEmbedder* em = new SubwordEmbedder();
