@@ -1,16 +1,16 @@
-// Joint evaluation-speed dashboard: single-query latency of candidate-shaped
-// SPARQL queries against one endpoint across the four evaluation modes —
-// serial row-at-a-time, morsel-sharded, vectorized (columnar batches through
-// the cardinality-planned broadcast/hash/probe kernels), and
-// sharded + vectorized — plus the index-build satellite that rides on the
-// same store.  Subsumes the former bench_sharding.
+// Evaluation-speed dashboard: single-query latency of candidate-shaped and
+// whole-KG SPARQL queries on the MAG-style KG, one column per store
+// backend — v1 (sorted permutation arrays) and compact (dictionary-
+// compressed CSR) — plus the index-build and snapshot satellites that ride
+// on the same stores.
 //
-// Every non-serial run is checked byte-identical to the serial reference
-// before its timing is reported; a speedup printed here is a speedup of the
-// *same* answer.  `--json=out.json` writes a machine-readable summary the
-// CI bench-smoke gate checks (vectorized must not lose to serial on the
-// star-shaped query).  Numbers depend on the machine's core count
-// (printed in the header).
+// Every query is checked before its timing is reported: the compact
+// store must answer byte-identically to v1, and v1's rows must equal the
+// test-only nested-loop reference evaluator's (tests/reference_
+// evaluator.h; its row count is printed next to the timings).
+// `--json=out.json` writes a machine-readable summary the CI smoke job
+// checks.  Numbers depend on the machine's core count (printed in the
+// header).
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +24,10 @@
 
 #include "bench_common.h"
 #include "benchgen/kg.h"
+#include "rdf/term.h"
+#include "reference_evaluator.h"
 #include "sparql/endpoint.h"
+#include "sparql/parser.h"
 #include "sparql/result_set.h"
 #include "store/compact_store.h"
 #include "store/triple_store.h"
@@ -39,26 +42,29 @@ bool SameResults(const ResultSet& a, const ResultSet& b) {
          a.columns() == b.columns() && a.rows() == b.rows();
 }
 
-struct Mode {
-  const char* name;
-  size_t threads;
-  bool vectorized;
-};
+// Row multiset of a result, rendered one string per row.
+std::vector<std::string> RowMultiset(const ResultSet& rs) {
+  std::vector<std::string> rows;
+  for (const auto& row : rs.rows()) {
+    std::string line;
+    for (const auto& cell : row) {
+      line += cell.has_value() ? kgqan::rdf::ToNTriples(*cell) : "_";
+      line += '\t';
+    }
+    rows.push_back(std::move(line));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
-constexpr Mode kModes[] = {
-    {"serial", 1, false},
-    {"sharded", 8, false},
-    {"vectorized", 1, true},
-    {"both", 8, true},
-};
+bool SameRowMultiset(const ResultSet& a, const ResultSet& b) {
+  return a.is_ask() == b.is_ask() && a.ask_value() == b.ask_value() &&
+         a.columns() == b.columns() && RowMultiset(a) == RowMultiset(b);
+}
 
-// Mode labels of the compact-store differential rows (--store=compact).
-constexpr const char* kCompactModeNames[] = {
-    "compact-serial",
-    "compact-sharded",
-    "compact-vectorized",
-    "compact-both",
-};
+// The reference evaluator gives up past this many live solutions; the
+// query's reference column then reads "n/a".
+constexpr size_t kReferenceBudget = 2'000'000;
 
 }  // namespace
 
@@ -66,29 +72,17 @@ int main(int argc, char** argv) {
   using namespace kgqan;
   const double scale = bench::ParseScale(argc, argv);
   const std::string json_path = bench::ParseFlag(argc, argv, "json");
-  // Best-of-kReps per cell; `--reps=N` raises it so ratio gates in CI
-  // see the converged floor of both columns, not scheduler noise.
+  // Best-of-kReps per cell; `--reps=N` raises it so the CI smoke job sees
+  // the converged floor of both columns, not scheduler noise.
   const std::string reps_flag = bench::ParseFlag(argc, argv, "reps");
   const int kReps = reps_flag.empty() ? 5 : std::stoi(reps_flag);
-  // `--store=compact` adds the compact (dictionary-compressed CSR, store
-  // v2) endpoint as a differential row per query: the same four modes,
-  // identity-checked against the same serial reference, plus snapshot
-  // write / mmap-load timings and the bytes comparison the CI
-  // store-bench-smoke gate checks.
-  const std::string store_flag = bench::ParseFlag(argc, argv, "store");
-  const bool compact_enabled = store_flag == "compact";
-  if (!store_flag.empty() && !compact_enabled && store_flag != "v1") {
-    std::fprintf(stderr, "unknown --store '%s' (v1|compact)\n",
-                 store_flag.c_str());
-    return 2;
-  }
 
-  std::printf("Evaluation modes: serial vs sharded vs vectorized vs both "
+  std::printf("Evaluation per store: v1 vs compact "
               "(hardware threads on this host: %u)\n",
               std::thread::hardware_concurrency());
 
   // The MAG-style builder is the largest (~10-100x the general KGs at the
-  // same scale), so scans are wide enough to shard and batch.
+  // same scale), so scans are wide enough to cross many batches.
   benchgen::BuiltKg kg =
       benchgen::BuildScholarlyKg(benchgen::KgFlavor::kMag, scale, 42);
   std::printf("KG: %s, %zu triples (scale %.2f)\n", kg.name.c_str(),
@@ -200,17 +194,17 @@ int main(int argc, char** argv) {
   ep_options.build_threads = 8;
   sparql::LocalEndpoint ep("mag-eval", std::move(kg.graph), ep_options);
   // Let the joins' intermediate results grow past the default cap so the
-  // later steps have real work; identical for every mode.
+  // later steps have real work; identical for both stores.
   ep.mutable_eval_options().max_rows = 4'000'000;
 
-  // Optional compact-store differential endpoint over the identical graph
-  // (the builder is seeded, so regenerating yields the identical graph).
-  std::unique_ptr<sparql::CompactEndpoint> compact_ep;
+  // The compact-store endpoint over the identical graph (the builder is
+  // seeded, so regenerating yields the identical graph).
   double compact_build_ms = 0.0;
   double snapshot_write_ms = 0.0;
   double snapshot_load_ms = 0.0;
   size_t snapshot_bytes = 0;
-  if (compact_enabled) {
+  std::unique_ptr<sparql::CompactEndpoint> compact_ep;
+  {
     rdf::Graph g = benchgen::BuildScholarlyKg(benchgen::KgFlavor::kMag, scale,
                                               42)
                        .graph;
@@ -218,146 +212,121 @@ int main(int argc, char** argv) {
     compact_ep = std::make_unique<sparql::CompactEndpoint>(
         "mag-eval-compact", std::move(g), ep_options);
     compact_build_ms = w.ElapsedMillis();
-    compact_ep->mutable_eval_options().max_rows = 4'000'000;
-    // Cold-start satellite: persist the store once, then time a pure
-    // mmap load of the snapshot against the from-source rebuild above.
-    const std::string snap_path = "/tmp/bench_eval_compact.snap";
-    {
-      util::Stopwatch sw;
-      util::Status st = compact_ep->WriteSnapshot(snap_path);
-      snapshot_write_ms = sw.ElapsedMillis();
-      if (!st.ok()) {
-        std::fprintf(stderr, "snapshot write failed: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
-    }
-    {
-      util::Stopwatch sw;
-      store::CompactStore loaded;
-      util::Status st = loaded.LoadSnapshot(snap_path);
-      snapshot_load_ms = sw.ElapsedMillis();
-      if (!st.ok()) {
-        std::fprintf(stderr, "snapshot load failed: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
-      snapshot_bytes = loaded.index_bytes() + loaded.dict_bytes();
-    }
-    std::remove(snap_path.c_str());
-    std::printf("compact store: build %.1f ms, snapshot write %.1f ms, "
-                "mmap load %.2f ms (%.0fx faster than rebuild)\n",
-                compact_build_ms, snapshot_write_ms, snapshot_load_ms,
-                compact_build_ms /
-                    (snapshot_load_ms > 0.0 ? snapshot_load_ms : 0.001));
-    std::printf("compact bytes: %.1f MiB vs v1 %.1f MiB (%.2fx)\n",
-                static_cast<double>(compact_ep->ApproxIndexBytes()) /
-                    (1024.0 * 1024.0),
-                static_cast<double>(ep.store().ApproxIndexBytes()) /
-                    (1024.0 * 1024.0),
-                static_cast<double>(compact_ep->ApproxIndexBytes()) /
-                    static_cast<double>(ep.store().ApproxIndexBytes()));
   }
-  std::printf("index footprint: %.1f MiB "
-              "(six permutation indexes + term dictionary)\n\n",
-              static_cast<double>(ep.store().ApproxIndexBytes()) /
-                  (1024.0 * 1024.0));
+  compact_ep->mutable_eval_options().max_rows = 4'000'000;
+  // Cold-start satellite: persist the store once, then time a pure mmap
+  // load of the snapshot against the from-source rebuild above.
+  const std::string snap_path = "/tmp/bench_eval_compact.snap";
+  {
+    util::Stopwatch sw;
+    util::Status st = compact_ep->WriteSnapshot(snap_path);
+    snapshot_write_ms = sw.ElapsedMillis();
+    if (!st.ok()) {
+      std::fprintf(stderr, "snapshot write failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
+  }
+  {
+    util::Stopwatch sw;
+    store::CompactStore loaded;
+    util::Status st = loaded.LoadSnapshot(snap_path);
+    snapshot_load_ms = sw.ElapsedMillis();
+    if (!st.ok()) {
+      std::fprintf(stderr, "snapshot load failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
+    snapshot_bytes = loaded.index_bytes() + loaded.dict_bytes();
+  }
+  std::remove(snap_path.c_str());
+  std::printf("compact store: build %.1f ms, snapshot write %.1f ms, "
+              "mmap load %.2f ms (%.0fx faster than rebuild)\n",
+              compact_build_ms, snapshot_write_ms, snapshot_load_ms,
+              compact_build_ms /
+                  (snapshot_load_ms > 0.0 ? snapshot_load_ms : 0.001));
+  const size_t v1_bytes = ep.store().ApproxIndexBytes();
+  const size_t compact_bytes = compact_ep->ApproxIndexBytes();
+  std::printf("index footprint: v1 %.1f MiB, compact %.1f MiB (%.2fx)\n\n",
+              static_cast<double>(v1_bytes) / (1024.0 * 1024.0),
+              static_cast<double>(compact_bytes) / (1024.0 * 1024.0),
+              static_cast<double>(compact_bytes) /
+                  static_cast<double>(v1_bytes));
 
-  const int rule_width = 88;
+  const int rule_width = 66;
   bench::PrintRule(rule_width);
-  std::printf("%-14s", "query");
-  for (const Mode& m : kModes) std::printf("  %10s", m.name);
-  std::printf("   vec/ser  both/ser\n");
+  std::printf("%-14s  %10s  %10s  %9s  %10s\n", "query", "v1", "compact",
+              "v1/comp", "ref rows");
   bench::PrintRule(rule_width);
 
   struct Run {
     const char* query;
-    const char* mode;
+    const char* store;
     double ms;
     size_t rows;
+    long long reference_rows;  // -1: over the reference budget.
   };
   std::vector<Run> runs;
   bool all_identical = true;
   for (const QuerySpec& spec : specs) {
-    std::printf("%-14s", spec.label);
-    double by_mode[4] = {0, 0, 0, 0};
-    size_t rows_by_mode[4] = {0, 0, 0, 0};
-    double compact_by_mode[4] = {0, 0, 0, 0};
-    size_t compact_rows[4] = {0, 0, 0, 0};
-    ResultSet reference{std::vector<std::string>{}};
-    // Reps are interleaved round-robin across the columns, not run as
-    // per-mode blocks: a load spike on a busy runner then inflates every
-    // column of that rep instead of whichever mode's block it landed on,
-    // so the best-of-reps ratios the CI gates compare stay stable.
+    auto parsed = sparql::ParseQuery(spec.text);
+    if (!parsed.ok()) {
+      std::printf("query parse failed: %s\n",
+                  parsed.status().message().c_str());
+      return 1;
+    }
+    auto reference = reference::ReferenceEvaluate(
+        *parsed, ep.store(), ep.text_index(),
+        ep.mutable_eval_options().text_candidate_limit, kReferenceBudget);
+    if (!reference.ok() &&
+        reference.status().code() != util::StatusCode::kOutOfRange) {
+      std::printf("reference failed: %s\n",
+                  reference.status().message().c_str());
+      return 1;
+    }
+    const long long reference_rows =
+        reference.ok() ? static_cast<long long>(reference->NumRows()) : -1;
+
+    sparql::Endpoint* endpoints[2] = {&ep, compact_ep.get()};
+    double best_ms[2] = {0, 0};
+    size_t rows[2] = {0, 0};
+    ResultSet first{std::vector<std::string>{}};
+    // Reps alternate between the stores, so a load spike on a busy
+    // runner inflates both columns of that rep instead of one.
     for (int rep = 0; rep < kReps; ++rep) {
-      for (size_t mi = 0; mi < 4; ++mi) {
-        const Mode& mode = kModes[mi];
-        ep.set_intra_query_threads(mode.threads);
-        ep.set_vectorized_eval(mode.vectorized);
+      for (size_t si = 0; si < 2; ++si) {
         util::Stopwatch w;
-        auto rs = ep.Query(spec.text);
+        auto rs = endpoints[si]->Query(spec.text);
         double ms = w.ElapsedMillis();
         if (!rs.ok()) {
           std::printf("\nquery failed: %s\n", rs.status().message().c_str());
           return 1;
         }
-        rows_by_mode[mi] =
-            rs->is_ask() ? size_t{rs->ask_value()} : rs->NumRows();
-        if (mi == 0 && rep == 0) reference = std::move(*rs);
-        if (mi != 0 && rep == 0 && !SameResults(reference, *rs)) {
-          all_identical = false;
-        }
-        if (rep == 0 || ms < by_mode[mi]) by_mode[mi] = ms;
-        if (compact_ep) {
-          // Same mode, compressed store: identical answers are part of
-          // the differential contract, so every cell is checked.
-          compact_ep->set_intra_query_threads(mode.threads);
-          compact_ep->set_vectorized_eval(mode.vectorized);
-          util::Stopwatch cw;
-          auto crs = compact_ep->Query(spec.text);
-          double cms = cw.ElapsedMillis();
-          if (!crs.ok()) {
-            std::printf("\ncompact query failed: %s\n",
-                        crs.status().message().c_str());
-            return 1;
-          }
-          compact_rows[mi] =
-              crs->is_ask() ? size_t{crs->ask_value()} : crs->NumRows();
-          if (rep == 0 && !SameResults(reference, *crs)) {
+        rows[si] = rs->is_ask() ? size_t{rs->ask_value()} : rs->NumRows();
+        if (rep == 0 && si == 0) {
+          if (reference.ok() && !SameRowMultiset(*reference, *rs)) {
             all_identical = false;
           }
-          if (rep == 0 || cms < compact_by_mode[mi]) {
-            compact_by_mode[mi] = cms;
-          }
+          first = std::move(*rs);
+        } else if (rep == 0 && !SameResults(first, *rs)) {
+          all_identical = false;
         }
+        if (rep == 0 || ms < best_ms[si]) best_ms[si] = ms;
       }
     }
-    for (size_t mi = 0; mi < 4; ++mi) {
-      runs.push_back({spec.label, kModes[mi].name, by_mode[mi],
-                      rows_by_mode[mi]});
-      std::printf("  %7.2f ms", by_mode[mi]);
-    }
-    std::printf("  %7.2fx  %7.2fx\n",
-                by_mode[0] / (by_mode[2] > 0.0 ? by_mode[2] : 1.0),
-                by_mode[0] / (by_mode[3] > 0.0 ? by_mode[3] : 1.0));
-    if (compact_ep) {
-      std::printf("%-14s", "  + compact");
-      double worst_ratio = 1e9;
-      for (size_t mi = 0; mi < 4; ++mi) {
-        runs.push_back({spec.label, kCompactModeNames[mi],
-                        compact_by_mode[mi], compact_rows[mi]});
-        std::printf("  %7.2f ms", compact_by_mode[mi]);
-        const double ratio =
-            by_mode[mi] /
-            (compact_by_mode[mi] > 0.0 ? compact_by_mode[mi] : 0.001);
-        worst_ratio = std::min(worst_ratio, ratio);
-      }
-      // v1 ms / compact ms: >= 1.0 means compact is at least as fast.
-      std::printf("  worst v1/compact %.2fx\n", worst_ratio);
+    runs.push_back({spec.label, "v1", best_ms[0], rows[0], reference_rows});
+    runs.push_back(
+        {spec.label, "compact", best_ms[1], rows[1], reference_rows});
+    std::printf("%-14s  %7.2f ms  %7.2f ms  %8.2fx  ", spec.label, best_ms[0],
+                best_ms[1], best_ms[0] / (best_ms[1] > 0.0 ? best_ms[1] : 1.0));
+    if (reference_rows >= 0) {
+      std::printf("%10lld\n", reference_rows);
+    } else {
+      std::printf("%10s\n", "n/a");
     }
   }
   bench::PrintRule(rule_width);
-  std::printf("all modes byte-identical to serial: %s\n",
+  std::printf("compact identical to v1, v1 equal to the reference: %s\n",
               all_identical ? "yes" : "NO — BUG");
 
   if (!json_path.empty()) {
@@ -373,27 +342,19 @@ int main(int argc, char** argv) {
                  all_identical ? "true" : "false");
     std::fprintf(out, "  \"build_serial_ms\": %.3f,\n", build_serial_ms);
     std::fprintf(out, "  \"build_parallel_ms\": %.3f,\n", build_parallel_ms);
-    // Aggregate store footprint of the endpoint under test: the active
-    // store's bytes (compact when --store=compact), with the v1 bytes kept
-    // alongside so the CI compression gate can form the ratio.
-    std::fprintf(out, "  \"store_bytes\": %zu,\n",
-                 compact_ep ? compact_ep->ApproxIndexBytes()
-                            : ep.store().ApproxIndexBytes());
-    std::fprintf(out, "  \"v1_store_bytes\": %zu,\n",
-                 ep.store().ApproxIndexBytes());
-    if (compact_ep) {
-      std::fprintf(out, "  \"compact_build_ms\": %.3f,\n", compact_build_ms);
-      std::fprintf(out, "  \"snapshot_write_ms\": %.3f,\n", snapshot_write_ms);
-      std::fprintf(out, "  \"snapshot_load_ms\": %.3f,\n", snapshot_load_ms);
-      std::fprintf(out, "  \"snapshot_bytes\": %zu,\n", snapshot_bytes);
-    }
+    std::fprintf(out, "  \"store_bytes\": %zu,\n", compact_bytes);
+    std::fprintf(out, "  \"v1_store_bytes\": %zu,\n", v1_bytes);
+    std::fprintf(out, "  \"compact_build_ms\": %.3f,\n", compact_build_ms);
+    std::fprintf(out, "  \"snapshot_write_ms\": %.3f,\n", snapshot_write_ms);
+    std::fprintf(out, "  \"snapshot_load_ms\": %.3f,\n", snapshot_load_ms);
+    std::fprintf(out, "  \"snapshot_bytes\": %zu,\n", snapshot_bytes);
     std::fprintf(out, "  \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
       std::fprintf(out,
-                   "    {\"query\": \"%s\", \"mode\": \"%s\", "
-                   "\"ms\": %.4f, \"rows\": %zu}%s\n",
-                   runs[i].query, runs[i].mode, runs[i].ms, runs[i].rows,
-                   i + 1 < runs.size() ? "," : "");
+                   "    {\"query\": \"%s\", \"store\": \"%s\", "
+                   "\"ms\": %.4f, \"rows\": %zu, \"reference_rows\": %lld}%s\n",
+                   runs[i].query, runs[i].store, runs[i].ms, runs[i].rows,
+                   runs[i].reference_rows, i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -1,5 +1,9 @@
-// Engine configuration (the three parameters of Sec. 7.1.6 plus knobs for
-// the ablation experiments).
+// Engine configuration: the three parameters of Sec. 7.1.6, knobs for the
+// ablation experiments, and the engine-side serving options (threads,
+// caches, batched linking, EXPLAIN ANALYZE).  SPARQL evaluation is not
+// configured here: the evaluator has one execution model
+// (sparql/evaluator.h), and its row cap and batch width belong to the
+// endpoint (sparql::Endpoint::mutable_eval_options()).
 
 #ifndef KGQAN_CORE_CONFIG_H_
 #define KGQAN_CORE_CONFIG_H_
@@ -56,30 +60,6 @@ struct KgqanConfig {
   // answers (results are combined in rank order) but may speculatively
   // execute queries the serial early-exit would have skipped.
   size_t num_threads = 0;
-
-  // Threads a *single* SPARQL query may use inside the endpoint's
-  // evaluator (morsel-sharded BGP join steps; not a paper parameter).
-  // Orthogonal to num_threads, which parallelizes *across* linking probes
-  // and candidate queries: both kinds of task share one bounded pool
-  // budget without deadlock (see util::ParallelFor).  0 = hardware
-  // concurrency; 1 keeps the exact legacy serial evaluator.  Applied to an
-  // endpoint via KgqanEngine::ConfigureEndpoint (the serving front-end
-  // does this at startup).
-  size_t intra_query_threads = 1;
-
-  // Columnar (vectorized) SPARQL evaluation (not a paper parameter):
-  // solutions flow through the endpoint's evaluator as term-id column
-  // batches with cardinality-planned join order and broadcast/hash/probe
-  // kernels, instead of row-at-a-time nested loops.  Off (default) keeps
-  // the row path; on, results are byte-identical (the differential
-  // property test's bar) on every seed, thread count, and batch size.
-  // Composes with intra_query_threads.  Applied to an endpoint via
-  // KgqanEngine::ConfigureEndpoint, like intra_query_threads.
-  bool vectorized_eval = false;
-
-  // Rows/triples a vectorized kernel processes between deadline
-  // re-checks; also the columnar batch granularity.
-  size_t eval_batch_size = 1024;
 
   // Total entries per mode of the sharded LRU linking cache keyed by
   // (phrase, KG identity, mode); repeated questions skip the endpoint

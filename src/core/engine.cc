@@ -99,7 +99,6 @@ std::string Explain(const KgqanResult& result) {
              std::to_string(op.rows_in) + " -> " +
              std::to_string(op.rows_out);
       if (op.batches > 0) out += "  batches " + std::to_string(op.batches);
-      if (op.morsels > 0) out += "  morsels " + std::to_string(op.morsels);
       out += "  " + util::FormatDouble(op.ms, 2) + " ms\n";
     }
   }

@@ -61,8 +61,7 @@ enum class TraceCounter : size_t {
   kEndpointCancelled,      // Queries dropped by a cancelled/expired token.
   kLinkingCacheHits,
   kLinkingCacheMisses,
-  kEvalMorsels,  // Morsels spawned by sharded BGP join steps.
-  kEvalBatches,  // Batch boundaries crossed by vectorized join kernels.
+  kEvalBatches,  // Batch boundaries crossed by SPARQL join kernels.
   kCount,
 };
 

@@ -13,7 +13,7 @@
 
 namespace kgqan::sparql {
 
-Endpoint::Endpoint(std::string name, EndpointOptions options)
+Endpoint::Endpoint(std::string name, EndpointOptions /*options*/)
     : name_(std::move(name)) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_requests_ = &registry.GetCounter("endpoint.requests");
@@ -22,31 +22,6 @@ Endpoint::Endpoint(std::string name, EndpointOptions options)
   metric_cancelled_ = &registry.GetCounter("endpoint.cancelled");
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
-  if (options.intra_query_threads != 1) {
-    // Virtual, but derived overrides only add derived-side configuration;
-    // the base implementation (the one a base ctor dispatches to) is the
-    // part that must run here.
-    Endpoint::set_intra_query_threads(options.intra_query_threads);
-  }
-  if (options.vectorized_eval) {
-    set_vectorized_eval(true);
-  }
-}
-
-void Endpoint::set_intra_query_threads(size_t n) {
-  if (n == 0) n = util::ThreadPool::DefaultThreads();
-  eval_options_.intra_query_threads = n;
-  if (n > 1) {
-    // The querying thread itself drains morsels (util::ParallelFor), so a
-    // pool of n - 1 workers yields n threads per sharded join step.
-    if (!eval_pool_ || eval_pool_->size() != n - 1) {
-      eval_pool_ = std::make_unique<util::ThreadPool>(n - 1);
-    }
-    eval_options_.eval_pool = eval_pool_.get();
-  } else {
-    eval_options_.eval_pool = nullptr;
-    eval_pool_.reset();
-  }
 }
 
 util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {

@@ -59,21 +59,13 @@
 #include "store/triple_store.h"
 #include "text/text_index.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::sparql {
 
 struct EndpointOptions {
-  // Threads one query may use for sharded BGP evaluation (0 = hardware
-  // concurrency, 1 = the exact legacy serial evaluator).  Also settable
-  // later via set_intra_query_threads().
-  size_t intra_query_threads = 1;
   // Threads used to sort the store's six permutation indexes at build
   // time (1 = unchanged serial build).
   size_t build_threads = 1;
-  // Columnar (vectorized) evaluation from the start; also settable later
-  // via set_vectorized_eval().  Result-identical to the row path.
-  bool vectorized_eval = false;
 };
 
 class Endpoint {
@@ -154,27 +146,9 @@ class Endpoint {
     return name_ + "#" + std::to_string(generation());
   }
 
+  // Evaluator settings (row cap, batch width, testing hooks).
+  // Configuration call — do not race against queries.
   EvalOptions& mutable_eval_options() { return eval_options_; }
-
-  // Reconfigures intra-query parallelism: n > 1 provisions an evaluation
-  // pool of n - 1 workers (the querying thread participates, see
-  // util::ParallelFor) and shards join steps across it; n == 1 drops the
-  // pool and restores the exact serial path; n == 0 means hardware
-  // concurrency.  Configuration call — do not race against queries.
-  virtual void set_intra_query_threads(size_t n);
-  size_t intra_query_threads() const {
-    return eval_options_.intra_query_threads;
-  }
-
-  // Toggles columnar (vectorized) evaluation; `batch_size` > 0 also sets
-  // the rows-per-deadline-check batch width.  Composes with
-  // set_intra_query_threads and stays result-identical to the serial row
-  // path.  Configuration call — do not race against queries.
-  void set_vectorized_eval(bool on, size_t batch_size = 0) {
-    eval_options_.vectorized = on;
-    if (batch_size > 0) eval_options_.batch_size = batch_size;
-  }
-  bool vectorized_eval() const { return eval_options_.vectorized; }
 
   // Latency injection point (tests / serving benchmark): every query
   // sleeps `ms` before evaluating, as if the endpoint were remote.  Safe
@@ -190,6 +164,8 @@ class Endpoint {
   }
 
  protected:
+  // `options` configures the backend's build (read by subclasses); the
+  // facade itself uses none of it.
   Endpoint(std::string name, EndpointOptions options);
 
   // Backend hook: parse and evaluate one query text.  Runs outside the
@@ -225,9 +201,6 @@ class Endpoint {
   void RecordCancelled();
 
   std::string name_;
-  // Workers for sharded evaluation (eval_options_.eval_pool points here);
-  // null while intra_query_threads <= 1.
-  std::unique_ptr<util::ThreadPool> eval_pool_;
   // Process-wide registry metrics (resolved once; registry entries are
   // never erased, so the pointers stay valid).
   obs::Counter* metric_requests_;

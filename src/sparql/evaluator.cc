@@ -1,10 +1,11 @@
 #include "sparql/evaluator.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -19,7 +20,6 @@
 #include "store/compact_store.h"
 #include "text/text_index.h"
 #include "util/cancel.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::sparql {
 
@@ -48,9 +48,6 @@ using rdf::Term;
 using rdf::TermId;
 using util::Status;
 using util::StatusOr;
-
-// A solution row: slot -> term id (kNullTermId = unbound).
-using Binding = std::vector<TermId>;
 
 // Maps variable names to dense slots across the whole query.
 class SlotMap {
@@ -100,10 +97,8 @@ void CollectVars(const GroupGraphPattern& group, SlotMap* slots) {
 
 // A columnar batch of solution rows: one TermId vector per variable slot.
 // Row r of the batch is (cols_[0][r], ..., cols_[n-1][r]); kNullTermId
-// marks an unbound slot, exactly as in the row-at-a-time Binding.  The
-// vectorized evaluation path carries these instead of Binding vectors, so
-// a join step touches a handful of contiguous arrays instead of one heap
-// allocation per intermediate row.
+// marks an unbound slot.  A join step touches a handful of contiguous
+// arrays instead of one heap allocation per intermediate row.
 class Chunk {
  public:
   explicit Chunk(size_t num_slots) : cols_(num_slots) {}
@@ -133,34 +128,27 @@ class Chunk {
     }
     ++rows_;
   }
-  // Extends this batch with a join result: input row `r` with the pattern
-  // slots overwritten from `t` per the source map (0 = input column,
-  // 1/2/3 = t.s/t.p/t.o; the map is built in s,p,o order so a variable
-  // repeated within one pattern keeps the row path's last-write-wins).
+  // Extends this batch with a join result: input row `r` with the slots
+  // of pattern `cp` bound from `t` (written in s, p, o order; a repeated
+  // variable gets equal components in every admitted triple).
   void AppendJoinRow(const Chunk& in, size_t r, const rdf::Triple& t,
-                     const std::vector<uint8_t>& src) {
+                     const CompiledTriple& cp) {
     for (size_t s = 0; s < cols_.size(); ++s) {
-      TermId v;
-      switch (src[s]) {
-        case 1:
-          v = t.s;
-          break;
-        case 2:
-          v = t.p;
-          break;
-        case 3:
-          v = t.o;
-          break;
-        default:
-          v = in.cols_[s][r];
-          break;
-      }
-      cols_[s].push_back(v);
+      cols_[s].push_back(in.cols_[s][r]);
+    }
+    if (CompiledTriple::IsSlot(cp.s)) {
+      cols_[CompiledTriple::Slot(cp.s)].back() = t.s;
+    }
+    if (CompiledTriple::IsSlot(cp.p)) {
+      cols_[CompiledTriple::Slot(cp.p)].back() = t.p;
+    }
+    if (CompiledTriple::IsSlot(cp.o)) {
+      cols_[CompiledTriple::Slot(cp.o)].back() = t.o;
     }
     ++rows_;
   }
   // Bulk-appends the first rows of `other` until this batch holds `cap`
-  // rows — the ordered-merge truncation, done column-wise.
+  // rows.
   void AppendChunkCapped(const Chunk& other, size_t cap) {
     if (rows_ >= cap) return;
     size_t take = std::min(other.rows_, cap - rows_);
@@ -170,19 +158,13 @@ class Chunk {
     }
     rows_ += take;
   }
-  Binding ToBinding(size_t r) const {
-    Binding b(cols_.size(), kNullTermId);
-    for (size_t s = 0; s < cols_.size(); ++s) b[s] = cols_[s][r];
-    return b;
-  }
 
  private:
   std::vector<std::vector<TermId>> cols_;
   size_t rows_ = 0;
 };
 
-// Row view over a Chunk with Binding's operator[] shape, so FILTER and
-// aggregate evaluation are shared between the two representations.
+// Row view over a Chunk, for FILTER evaluation.
 struct ChunkRow {
   const Chunk* chunk;
   size_t row;
@@ -201,11 +183,45 @@ enum class CompKind : uint8_t {
   kMixed,    // Bound in some rows only: probe per row.
 };
 
+// A pattern component shared with another component of the same pattern
+// (`?x ?p ?x`) must bind one term: only triples whose two components are
+// equal match.  When the shared slot is bound the resolved ids are already
+// equal and the check always passes; it matters when the variable is free.
+struct RepeatedVars {
+  bool sp = false;
+  bool so = false;
+  bool po = false;
+
+  explicit RepeatedVars(const CompiledTriple& cp) {
+    auto same = [](uint64_t a, uint64_t b) {
+      return CompiledTriple::IsSlot(a) && CompiledTriple::IsSlot(b) &&
+             CompiledTriple::Slot(a) == CompiledTriple::Slot(b);
+    };
+    sp = same(cp.s, cp.p);
+    so = same(cp.s, cp.o);
+    po = same(cp.p, cp.o);
+  }
+  bool Admits(const rdf::Triple& t) const {
+    return (!sp || t.s == t.p) && (!so || t.s == t.o) && (!po || t.p == t.o);
+  }
+};
+
 // Generic over the store: store::TripleStore (v1) or store::CompactStore.
 // StoreT supplies dictionary(), Locate() -> StoreT::Range,
-// Match/MatchRange, Partition(Range, n) and EstimateMatches with identical
-// semantics; every ordering and cap decision below is expressed against
-// that contract, which is what makes the two stores byte-identical.
+// Match/MatchRange and EstimateMatches with identical semantics; every
+// ordering and cap decision below is expressed against that contract,
+// which is what makes the two stores byte-identical.
+//
+// Each join step classifies the pattern components against the input
+// columns and picks one of three kernels, every one of which emits in
+// (input row, match index) order and stops at max_rows:
+//  * broadcast — no varying component: all rows resolve the pattern
+//    identically, so the matches are scanned once and cross-joined.
+//  * hash — build over the constants-only range keyed by the varying
+//    components, probe per row; order-correct because a probe's match set
+//    differs in at most one (wildcard) component, and triples equal on
+//    every other component sort identically in all six permutations.
+//  * probe — the per-row Locate + scan fallback; always correct.
 template <typename StoreT>
 class Evaluator {
  public:
@@ -213,9 +229,9 @@ class Evaluator {
             const EvalOptions& options)
       : store_(store), text_index_(text_index), options_(options),
         profile_(CurrentEvalProfile()) {
-    // Per-step analysis (operator stats, step spans) runs only when a
-    // profile sink is bound or the active trace records spans — unsampled
-    // serving keeps the exact pre-existing cost profile.
+    // Per-step analysis (operator stats, step spans, step timings) runs
+    // only when a profile sink is bound or the active trace records spans,
+    // so unsampled serving pays nothing per join step.
     obs::Trace* trace = obs::CurrentTrace();
     analyze_ =
         profile_ != nullptr || (trace != nullptr && trace->spans_enabled());
@@ -229,26 +245,23 @@ class Evaluator {
       slots_.SlotOf(agg.var.name);
     }
 
-    if (options_.vectorized) {
-      Chunk chunk(slots_.size());
-      chunk.AppendNullRow();
-      KGQAN_ASSIGN_OR_RETURN(chunk,
-                             EvalGroupChunked(query.where, std::move(chunk)));
-      if (query.form == Query::Form::kAsk) {
-        return ResultSet::Ask(chunk.rows() > 0);
-      }
-      return ProjectChunk(query, std::move(chunk));
-    }
-
-    std::vector<Binding> rows;
-    rows.push_back(Binding(slots_.size(), kNullTermId));
-    KGQAN_ASSIGN_OR_RETURN(rows, EvalGroup(query.where, std::move(rows)));
-
+    Chunk chunk(slots_.size());
+    chunk.AppendNullRow();
+    KGQAN_ASSIGN_OR_RETURN(chunk,
+                           EvalGroupChunked(query.where, std::move(chunk)));
     if (query.form == Query::Form::kAsk) {
-      return ResultSet::Ask(!rows.empty());
+      return ResultSet::Ask(chunk.rows() > 0);
     }
-    return Project(query, std::move(rows));
+    return Project(query, chunk);
   }
+
+  // Join steps executed and batch boundaries crossed (for the
+  // sparql.eval.batch.* registry metrics), plus the planner's
+  // multi-pattern group counts.
+  size_t steps() const { return steps_; }
+  size_t batches() const { return batches_; }
+  size_t planned_groups() const { return planned_groups_; }
+  size_t reordered_plans() const { return reordered_plans_; }
 
  private:
   uint64_t Compile(const TermOrVar& tv, bool* dead) {
@@ -282,15 +295,6 @@ class Evaluator {
   // where a wrong guess only costs the planner estimate quality — the
   // kernels classify boundness from the actual columns).  Planning input
   // only.
-  std::vector<bool> BoundSlots(const std::vector<Binding>& rows) const {
-    std::vector<bool> bound(slots_.size(), false);
-    if (!rows.empty()) {
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        bound[i] = rows.front()[i] != kNullTermId;
-      }
-    }
-    return bound;
-  }
   std::vector<bool> BoundSlots(const Chunk& chunk) const {
     std::vector<bool> bound(slots_.size(), false);
     if (chunk.rows() > 0) {
@@ -302,8 +306,8 @@ class Evaluator {
   }
 
   // Plan instrumentation, for multi-pattern groups only: single-pattern
-  // groups (the linking probes) have nothing to reorder and keep their
-  // pre-existing metric footprint.
+  // groups (the linking probes) have nothing to reorder and record
+  // nothing.
   void NotePlan(size_t num_patterns, const JoinPlan& plan) {
     if (num_patterns < 2) return;
     ++planned_groups_;
@@ -319,12 +323,13 @@ class Evaluator {
     }
   }
 
-  // Publishes one executed join step to the active span and the bound
-  // operator-stats sink.  Called only on the analyze path.
+  // Publishes one executed join step to its span, the step-latency
+  // histogram and the bound operator-stats sink.  Called only on the
+  // analyze path.
   void NoteStep(const PlanStep& step, size_t order, size_t rows_in,
-                size_t rows_out, size_t batches, size_t morsels,
-                const char* kernel, obs::ScopedSpan* span) {
-    if (span != nullptr && span->recording()) {
+                size_t rows_out, size_t batches, const char* kernel,
+                obs::ScopedSpan* span) {
+    if (span->recording()) {
       span->AddAttribute("pattern", std::to_string(step.pattern));
       span->AddAttribute("order", std::to_string(order));
       span->AddAttribute("estimate", std::to_string(step.estimate));
@@ -332,6 +337,11 @@ class Evaluator {
       span->AddAttribute("rows_out", std::to_string(rows_out));
       span->AddAttribute("kernel", kernel);
     }
+    const double ms = span->ElapsedMillis();
+    static obs::Histogram& step_ms =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "sparql.eval.batch.step_ms");
+    step_ms.Record(ms);
     if (profile_ != nullptr) {
       OperatorStats stats;
       stats.pattern = step.pattern;
@@ -340,20 +350,15 @@ class Evaluator {
       stats.rows_in = rows_in;
       stats.rows_out = rows_out;
       stats.batches = batches;
-      stats.morsels = morsels;
       stats.kernel = kernel;
-      stats.ms = span != nullptr ? span->ElapsedMillis() : 0.0;
+      stats.ms = ms;
       profile_->Add(std::move(stats));
     }
   }
 
-  // Resolves a compiled component against a binding: a constant id, the
-  // bound value of its slot, or kNullTermId (wildcard).
-  static TermId Resolve(uint64_t c, const Binding& b) {
-    if (!CompiledTriple::IsSlot(c)) return static_cast<TermId>(c);
-    return b[CompiledTriple::Slot(c)];
-  }
-  static TermId ResolveChunk(uint64_t c, const Chunk& in, size_t r) {
+  // Resolves a compiled component against input row `r`: a constant id,
+  // the bound value of its slot, or kNullTermId (wildcard).
+  static TermId Resolve(uint64_t c, const Chunk& in, size_t r) {
     if (!CompiledTriple::IsSlot(c)) return static_cast<TermId>(c);
     return in.At(r, CompiledTriple::Slot(c));
   }
@@ -382,363 +387,26 @@ class Evaluator {
     return overlay_terms_[id - max_store - 1];
   }
 
-  StatusOr<std::vector<Binding>> EvalGroup(const GroupGraphPattern& group,
-                                           std::vector<Binding> rows) {
-    // 1. Text patterns first: they seed candidate sets in relevance order.
-    for (const TextPattern& tp : group.text_patterns) {
-      KGQAN_ASSIGN_OR_RETURN(text::ContainsQuery cq,
-                             text::ParseContainsQuery(tp.expr));
-      std::vector<TermId> candidates =
-          text_index_.MatchLiterals(cq, options_.text_candidate_limit);
-      size_t slot = slots_.SlotOf(tp.var.name);
-      std::vector<Binding> next;
-      for (const Binding& row : rows) {
-        if (row[slot] != kNullTermId) {
-          // Already bound: keep iff it satisfies the text query.
-          if (std::find(candidates.begin(), candidates.end(), row[slot]) !=
-              candidates.end()) {
-            next.push_back(row);
-          }
-          continue;
-        }
-        for (TermId cand : candidates) {
-          Binding ext = row;
-          ext[slot] = cand;
-          next.push_back(std::move(ext));
-          if (next.size() >= options_.max_rows) break;
-        }
-        if (next.size() >= options_.max_rows) break;
-      }
-      rows = std::move(next);
-    }
-
-    // 1b. Inline VALUES bindings.  Terms that do not occur in the KG are
-    // interned into a query-local overlay dictionary: per SPARQL semantics
-    // they still bind (e.g. batch-query discriminator values), they simply
-    // can never join a stored triple.
-    for (const InlineValues& iv : group.values) {
-      size_t slot = slots_.SlotOf(iv.var.name);
-      std::vector<TermId> ids;
-      for (const Term& t : iv.values) {
-        ids.push_back(InternValue(t));
-      }
-      std::vector<Binding> next;
-      for (const Binding& row : rows) {
-        if (row[slot] != kNullTermId) {
-          if (std::find(ids.begin(), ids.end(), row[slot]) != ids.end()) {
-            next.push_back(row);
-          }
-          continue;
-        }
-        for (TermId id : ids) {
-          Binding ext = row;
-          ext[slot] = id;
-          next.push_back(std::move(ext));
-          if (next.size() >= options_.max_rows) break;
-        }
-        if (next.size() >= options_.max_rows) break;
-      }
-      rows = std::move(next);
-    }
-
-    // 2. Triple patterns, ordered by the cardinality planner (greedy
-    // selectivity over exact Locate range sizes; see sparql/planner.h).
-    // Every evaluation mode executes the same plan, so join order — and
-    // with it result order — is mode-independent by construction.
-    std::vector<CompiledTriple> patterns = CompileTriples(group);
-    JoinPlan plan = PlanJoins(store_, patterns, BoundSlots(rows));
-    NotePlan(patterns.size(), plan);
-    size_t order = 0;
-    for (const PlanStep& step : plan.steps) {
-      const CompiledTriple& cp = patterns[step.pattern];
-      std::vector<Binding> next;
-      if (!cp.dead) {
-        // Analyze-only step span/stats: the unanalyzed path executes the
-        // exact pre-existing statements (no stopwatch, no optional).
-        std::optional<obs::ScopedSpan> span;
-        if (analyze_) span.emplace("sparql.eval.step");
-        const size_t rows_in = rows.size();
-        const size_t morsels_before = morsel_count_;
-        if (options_.intra_query_threads > 1 &&
-            options_.eval_pool != nullptr) {
-          KGQAN_ASSIGN_OR_RETURN(next, ShardedJoinStep(cp, rows));
-        } else {
-          next = SerialJoinStep(cp, rows);
-        }
-        if (analyze_) {
-          const size_t morsels = morsel_count_ - morsels_before;
-          NoteStep(step, order, rows_in, next.size(), /*batches=*/0, morsels,
-                   morsels > 0 ? "sharded" : "serial",
-                   span.has_value() ? &*span : nullptr);
-        }
-      }
-      rows = std::move(next);
-      ++order;
-      if (rows.empty()) break;
-    }
-
-    // 3. UNION blocks: solutions of the branches are concatenated (each
-    // branch joins against the incoming rows independently).
-    for (const auto& branches : group.unions) {
-      std::vector<Binding> next;
-      for (const GroupGraphPattern& branch : branches) {
-        auto matched = EvalGroup(branch, rows);
-        if (!matched.ok()) return matched.status();
-        for (Binding& m : *matched) {
-          next.push_back(std::move(m));
-          if (next.size() >= options_.max_rows) break;
-        }
-        if (next.size() >= options_.max_rows) break;
-      }
-      rows = std::move(next);
-    }
-
-    // 4. OPTIONAL groups: left join.
-    for (const GroupGraphPattern& opt : group.optionals) {
-      std::vector<Binding> next;
-      for (const Binding& row : rows) {
-        std::vector<Binding> seed{row};
-        auto matched = EvalGroup(opt, std::move(seed));
-        if (!matched.ok()) return matched.status();
-        if (matched->empty()) {
-          next.push_back(row);
-        } else {
-          for (Binding& m : *matched) {
-            next.push_back(std::move(m));
-            if (next.size() >= options_.max_rows) break;
-          }
-        }
-        if (next.size() >= options_.max_rows) break;
-      }
-      rows = std::move(next);
-    }
-
-    // 5. Filters.
-    for (const Expr& filter : group.filters) {
-      std::vector<Binding> next;
-      for (Binding& row : rows) {
-        if (EvalExprBool(filter, row)) next.push_back(std::move(row));
-      }
-      rows = std::move(next);
-    }
-    return rows;
-  }
-
-  // ---- Join-step execution (serial and morsel-sharded row paths) ----
-
-  // The legacy serial join step: extend every row by every match of `cp`,
-  // in (row, index) order, capped at max_rows.  This is the
-  // intra_query_threads == 1 path and stays byte-identical to the original
-  // evaluator (no extra allocations, no polling).
-  std::vector<Binding> SerialJoinStep(const CompiledTriple& cp,
-                                      const std::vector<Binding>& rows) {
-    std::vector<Binding> next;
-    for (const Binding& row : rows) {
-      TermId s = Resolve(cp.s, row);
-      TermId p = Resolve(cp.p, row);
-      TermId o = Resolve(cp.o, row);
-      store_.Match(s, p, o, [&](const rdf::Triple& t) {
-        Binding ext = row;
-        if (CompiledTriple::IsSlot(cp.s)) {
-          ext[CompiledTriple::Slot(cp.s)] = t.s;
-        }
-        if (CompiledTriple::IsSlot(cp.p)) {
-          ext[CompiledTriple::Slot(cp.p)] = t.p;
-        }
-        if (CompiledTriple::IsSlot(cp.o)) {
-          ext[CompiledTriple::Slot(cp.o)] = t.o;
-        }
-        next.push_back(std::move(ext));
-        return next.size() < options_.max_rows;
-      });
-      if (next.size() >= options_.max_rows) break;
-    }
-    return next;
-  }
-
-  // One morsel of a sharded join step: a contiguous run of input rows and,
-  // in single-row (range-slice) mode, a slice of that row's scan range.
-  struct Morsel {
-    size_t row_begin = 0;
-    size_t row_end = 0;  // Exclusive.
-    typename StoreT::Range range;
-    TermId s = kNullTermId;
-    TermId p = kNullTermId;
-    TermId o = kNullTermId;
-    bool has_range = false;  // True in range-slice mode.
-  };
-
-  // Morsel-driven parallel join step.  Produces exactly SerialJoinStep's
-  // rows in exactly its order: the morsels partition the serial (row,
-  // index) iteration space contiguously and are merged back in morsel
-  // order, and a morsel's local max_rows cap can only drop rows the
-  // global cap would have dropped anyway (a morsel's share of the serial
-  // first-max_rows prefix is never more than max_rows rows).
-  StatusOr<std::vector<Binding>> ShardedJoinStep(
-      const CompiledTriple& cp, const std::vector<Binding>& rows) {
-    const size_t threads = options_.intra_query_threads;
-    const size_t target_morsels = threads * 4;
-    std::vector<Morsel> morsels;
-    if (rows.size() > std::max<size_t>(64, threads * 8)) {
-      // Many input rows: chunk the row list itself; each chunk re-uses the
-      // serial per-row locate + scan.
-      size_t k = std::min(rows.size(), target_morsels);
-      for (size_t i = 0; i < k; ++i) {
-        Morsel m;
-        m.row_begin = rows.size() * i / k;
-        m.row_end = rows.size() * (i + 1) / k;
-        if (m.row_end > m.row_begin) morsels.push_back(m);
-      }
-    } else {
-      // Few rows (typically the first pattern's single seed row): slice
-      // each row's located index range.
-      size_t total = 0;
-      std::vector<typename StoreT::Range> ranges;
-      std::vector<std::array<TermId, 3>> resolved;
-      ranges.reserve(rows.size());
-      resolved.reserve(rows.size());
-      for (const Binding& row : rows) {
-        TermId s = Resolve(cp.s, row);
-        TermId p = Resolve(cp.p, row);
-        TermId o = Resolve(cp.o, row);
-        ranges.push_back(store_.Locate(s, p, o));
-        resolved.push_back({s, p, o});
-        total += ranges.back().size();
-      }
-      if (total < options_.min_shard_work) return SerialJoinStep(cp, rows);
-      size_t slice = std::max<size_t>(
-          {size_t{1}, options_.min_morsel_triples, total / target_morsels});
-      for (size_t r = 0; r < rows.size(); ++r) {
-        size_t parts = (ranges[r].size() + slice - 1) / slice;
-        for (const typename StoreT::Range& part :
-             store_.Partition(ranges[r], parts)) {
-          Morsel m;
-          m.row_begin = r;
-          m.row_end = r + 1;
-          m.range = part;
-          m.s = resolved[r][0];
-          m.p = resolved[r][1];
-          m.o = resolved[r][2];
-          m.has_range = true;
-          morsels.push_back(m);
-        }
-      }
-    }
-    if (morsels.size() <= 1) return SerialJoinStep(cp, rows);
-
-    obs::ScopedSpan span("sparql.eval.sharded_step");
-    std::vector<std::vector<Binding>> outs(morsels.size());
-    std::atomic<bool> cancelled{false};
-    util::ParallelFor(options_.eval_pool, morsels.size(), [&](size_t m) {
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      const Morsel& morsel = morsels[m];
-      std::vector<Binding>& out = outs[m];
-      size_t visited = 0;
-      for (size_t r = morsel.row_begin; r < morsel.row_end; ++r) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        const Binding& row = rows[r];
-        TermId s, p, o;
-        typename StoreT::Range range;
-        if (morsel.has_range) {
-          s = morsel.s;
-          p = morsel.p;
-          o = morsel.o;
-          range = morsel.range;
-        } else {
-          s = Resolve(cp.s, row);
-          p = Resolve(cp.p, row);
-          o = Resolve(cp.o, row);
-          range = store_.Locate(s, p, o);
-        }
-        store_.MatchRange(range, s, p, o, [&](const rdf::Triple& t) {
-          // Deadline poll: cheap enough every 256 triples that serving
-          // deadlines bite mid-scan, not only between patterns.
-          if ((++visited & 255u) == 0 && util::Cancelled()) {
-            cancelled.store(true, std::memory_order_relaxed);
-            return false;
-          }
-          Binding ext = row;
-          if (CompiledTriple::IsSlot(cp.s)) {
-            ext[CompiledTriple::Slot(cp.s)] = t.s;
-          }
-          if (CompiledTriple::IsSlot(cp.p)) {
-            ext[CompiledTriple::Slot(cp.p)] = t.p;
-          }
-          if (CompiledTriple::IsSlot(cp.o)) {
-            ext[CompiledTriple::Slot(cp.o)] = t.o;
-          }
-          out.push_back(std::move(ext));
-          return out.size() < options_.max_rows;
-        });
-        if (out.size() >= options_.max_rows) break;
-      }
-    });
-    if (cancelled.load(std::memory_order_relaxed)) {
-      return Status::DeadlineExceeded("evaluation cancelled mid-scan");
-    }
-
-    // Ordered merge: morsel order is serial order; truncate at the global
-    // cap exactly where the serial loop would have stopped.
-    size_t total_rows = 0;
-    for (const std::vector<Binding>& out : outs) total_rows += out.size();
-    std::vector<Binding> next;
-    next.reserve(std::min(total_rows, options_.max_rows));
-    for (std::vector<Binding>& out : outs) {
-      for (Binding& b : out) {
-        next.push_back(std::move(b));
-        if (next.size() >= options_.max_rows) break;
-      }
-      if (next.size() >= options_.max_rows) break;
-    }
-    ++sharded_steps_;
-    morsel_count_ += morsels.size();
-    if (span.recording()) {
-      span.AddAttribute("morsels", std::to_string(morsels.size()));
-      span.AddAttribute("rows_in", std::to_string(rows.size()));
-      span.AddAttribute("rows_out", std::to_string(next.size()));
-    }
-    static obs::Histogram& step_ms = obs::MetricsRegistry::Global().GetHistogram(
-        "sparql.eval.sharded_step_ms");
-    step_ms.Record(span.ElapsedMillis());
-    return next;
-  }
-
-  // ---- Vectorized (columnar) evaluation ----
-  //
-  // The vectorized path executes the same plan as the row path but carries
-  // solutions as Chunks.  Each join step classifies the pattern components
-  // against the input columns and picks one of three kernels, every one of
-  // which emits in the serial (row, match-index) order with the serial
-  // max_rows cap, so the output batch is byte-identical to the row path's
-  // output rows:
-  //  * broadcast — no varying component: all rows resolve the pattern
-  //    identically, so the matches are scanned once and cross-joined.
-  //  * hash — build over the constants-only range keyed by the varying
-  //    components, probe per row; order-correct because a probe's match
-  //    set differs in at most one (wildcard) component, and triples equal
-  //    on every other component sort identically in all six permutations.
-  //  * probe — the per-row Locate + scan fallback; always correct.
-
-  // One execution context's batch accounting.  Kernels tick once per unit
-  // of work (a scanned triple or an emitted row); every batch_size ticks
-  // is a batch boundary: the optional testing latency is injected and the
-  // serving deadline is re-checked, so cancellation bites mid-scan even
-  // when one kernel invocation covers millions of triples.
-  struct BatchState {
-    size_t work = 0;
-    size_t batches = 0;
-  };
-
-  // Returns false when the deadline expired at this boundary.
-  bool TickBatch(BatchState* bs) const {
-    if (++bs->work < options_.batch_size) return true;
-    bs->work = 0;
-    ++bs->batches;
+  // Counts one unit of work (a scanned triple or an emitted row).  Every
+  // batch_size units is a batch boundary: the optional testing latency is
+  // injected and the request deadline is re-checked, so cancellation bites
+  // mid-scan even when one kernel invocation covers millions of triples.
+  // The count runs across steps and groups, so a query made of many small
+  // steps (one OPTIONAL evaluation per row) is polled too.  Returns false
+  // when the deadline expired at this boundary.
+  bool TickBatch() {
+    if (++work_ < options_.batch_size) return true;
+    work_ = 0;
+    ++batches_;
     if (options_.testing_batch_delay_us > 0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(options_.testing_batch_delay_us));
     }
     return !util::Cancelled();
+  }
+
+  static Status Expired() {
+    return Status::DeadlineExceeded("evaluation cancelled mid-batch");
   }
 
   static CompKind Classify(uint64_t c, const Chunk& in) {
@@ -755,8 +423,7 @@ class Evaluator {
 
   // VALUES / text overlay on a batch: rows with the slot already bound are
   // kept iff the value is in `ids`; unbound rows fan out over `ids` in
-  // order.  Exactly the row path's loop (including its cap placement:
-  // bound keeps are never dropped, fan-outs stop at max_rows), column-wise.
+  // order.  Bound keeps are never dropped; fan-outs stop at max_rows.
   Chunk OverlayBindChunk(const Chunk& chunk, size_t slot,
                          const std::vector<TermId>& ids) const {
     Chunk next(chunk.num_slots());
@@ -777,10 +444,9 @@ class Evaluator {
     return next;
   }
 
-  // Mirrors EvalGroup phase for phase; every cap and ordering decision is
-  // the row path's, executed column-wise.
   StatusOr<Chunk> EvalGroupChunked(const GroupGraphPattern& group,
                                    Chunk chunk) {
+    // 1. Text patterns first: they seed candidate sets in relevance order.
     for (const TextPattern& tp : group.text_patterns) {
       KGQAN_ASSIGN_OR_RETURN(text::ContainsQuery cq,
                              text::ParseContainsQuery(tp.expr));
@@ -788,6 +454,10 @@ class Evaluator {
           text_index_.MatchLiterals(cq, options_.text_candidate_limit);
       chunk = OverlayBindChunk(chunk, slots_.SlotOf(tp.var.name), candidates);
     }
+    // 1b. Inline VALUES bindings.  Terms that do not occur in the KG are
+    // interned into a query-local overlay dictionary: per SPARQL semantics
+    // they still bind (e.g. batch-query discriminator values), they simply
+    // can never join a stored triple.
     for (const InlineValues& iv : group.values) {
       std::vector<TermId> ids;
       ids.reserve(iv.values.size());
@@ -795,8 +465,17 @@ class Evaluator {
       chunk = OverlayBindChunk(chunk, slots_.SlotOf(iv.var.name), ids);
     }
 
+    // 2. Triple patterns, ordered by the cardinality planner (greedy
+    // selectivity over exact Locate range sizes; see sparql/planner.h).
     std::vector<CompiledTriple> patterns = CompileTriples(group);
-    JoinPlan plan = PlanJoins(store_, patterns, BoundSlots(chunk));
+    JoinPlan plan;
+    if (patterns.size() == 1 && !analyze_) {
+      // One pattern has nothing to order: skip its estimate (a Locate)
+      // unless EXPLAIN ANALYZE reports it.
+      plan.steps.push_back(PlanStep{0, 0});
+    } else {
+      plan = PlanJoins(store_, patterns, BoundSlots(chunk));
+    }
     NotePlan(patterns.size(), plan);
     size_t order = 0;
     for (const PlanStep& step : plan.steps) {
@@ -811,6 +490,8 @@ class Evaluator {
       if (chunk.rows() == 0) break;
     }
 
+    // 3. UNION blocks: solutions of the branches are concatenated (each
+    // branch joins against the incoming rows independently).
     for (const auto& branches : group.unions) {
       Chunk next(chunk.num_slots());
       for (const GroupGraphPattern& branch : branches) {
@@ -822,6 +503,7 @@ class Evaluator {
       chunk = std::move(next);
     }
 
+    // 4. OPTIONAL groups: left join, evaluated per input row.
     for (const GroupGraphPattern& opt : group.optionals) {
       Chunk next(chunk.num_slots());
       for (size_t r = 0; r < chunk.rows(); ++r) {
@@ -839,6 +521,7 @@ class Evaluator {
       chunk = std::move(next);
     }
 
+    // 5. Filters.
     for (const Expr& filter : group.filters) {
       Chunk next(chunk.num_slots());
       for (size_t r = 0; r < chunk.rows(); ++r) {
@@ -856,17 +539,14 @@ class Evaluator {
                                      const Chunk& in) {
     Chunk out(in.num_slots());
     if (cp.dead || in.rows() == 0) return out;
-    obs::ScopedSpan span("sparql.eval.batch_step");
-    ++vectorized_steps_;
+    // Analyze-only span and timing: an unanalyzed step reads no clock and
+    // records nothing.
+    std::optional<obs::ScopedSpan> span;
+    if (analyze_) span.emplace("sparql.eval.batch_step");
+    ++steps_;
     const size_t batches_before = batches_;
 
-    // src[slot]: where the output column's value comes from (0 = the input
-    // column, 1/2/3 = the matched triple's s/p/o); written in s,p,o order
-    // so repeated variables keep last-write-wins.
-    std::vector<uint8_t> src(in.num_slots(), 0);
-    if (CompiledTriple::IsSlot(cp.s)) src[CompiledTriple::Slot(cp.s)] = 1;
-    if (CompiledTriple::IsSlot(cp.p)) src[CompiledTriple::Slot(cp.p)] = 2;
-    if (CompiledTriple::IsSlot(cp.o)) src[CompiledTriple::Slot(cp.o)] = 3;
+    const RepeatedVars repeated(cp);
 
     const CompKind ks = Classify(cp.s, in);
     const CompKind kp = Classify(cp.p, in);
@@ -884,7 +564,7 @@ class Evaluator {
     Status status;
     if (!mixed && varying == 0) {
       kernel = "broadcast";
-      status = BroadcastKernel(cp, in, src, &out);
+      status = BroadcastKernel(cp, repeated, in, &out);
     } else {
       bool hashed = false;
       // Hash eligibility: every key fits one uint64 (≤ 2 varying 32-bit
@@ -903,72 +583,26 @@ class Evaluator {
         // probe count; past that, per-row probing is strictly cheaper.
         if (range.size() <= 4 * in.rows()) {
           kernel = "hash";
-          status = HashKernel(cp, in, src, range, ks, kp, ko, &out);
+          status = HashKernel(cp, repeated, in, range, ks, kp, ko, &out);
           hashed = true;
         }
       }
-      if (!hashed) status = ProbeKernel(cp, in, src, &out);
+      if (!hashed) status = ProbeKernel(cp, repeated, in, &out);
     }
     KGQAN_RETURN_IF_ERROR(status);
-    if (analyze_) {
-      NoteStep(step, order, in.rows(), out.rows(),
-               batches_ - batches_before, /*morsels=*/0, kernel, &span);
+    if (span.has_value()) {
+      NoteStep(step, order, in.rows(), out.rows(), batches_ - batches_before,
+               kernel, &*span);
     }
-    static obs::Histogram& step_ms =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "sparql.eval.batch.step_ms");
-    step_ms.Record(span.ElapsedMillis());
     return out;
-  }
-
-  // Shards `exec` over contiguous row morsels of `in` on the eval pool and
-  // merges the per-morsel outputs in order, truncating at max_rows (the
-  // PR-5 merge argument: a morsel's share of the serial first-max_rows
-  // prefix is never more than max_rows rows).  `exec(begin, end, dst, bs)`
-  // must emit in serial (row, index) order, cap `dst` at max_rows, and
-  // return false only on deadline expiry.  Small inputs run inline.
-  template <typename ExecFn>
-  Status ShardRows(const Chunk& in, Chunk* out, ExecFn&& exec) {
-    const size_t threads = options_.intra_query_threads;
-    const bool shard = threads > 1 && options_.eval_pool != nullptr &&
-                       in.rows() > std::max<size_t>(64, threads * 8);
-    if (!shard) {
-      BatchState bs;
-      bool alive = exec(0, in.rows(), out, &bs);
-      batches_ += bs.batches;
-      if (!alive) {
-        return Status::DeadlineExceeded("evaluation cancelled mid-batch");
-      }
-      return Status::Ok();
-    }
-    const size_t k = std::min(in.rows(), threads * 4);
-    std::vector<Chunk> outs(k, Chunk(in.num_slots()));
-    std::vector<size_t> morsel_batches(k, 0);
-    std::atomic<bool> cancelled{false};
-    util::ParallelFor(options_.eval_pool, k, [&](size_t i) {
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      BatchState local;
-      bool alive =
-          exec(in.rows() * i / k, in.rows() * (i + 1) / k, &outs[i], &local);
-      morsel_batches[i] = local.batches;
-      if (!alive) cancelled.store(true, std::memory_order_relaxed);
-    });
-    for (size_t b : morsel_batches) batches_ += b;
-    if (cancelled.load(std::memory_order_relaxed)) {
-      return Status::DeadlineExceeded("evaluation cancelled mid-batch");
-    }
-    for (const Chunk& part : outs) {
-      out->AppendChunkCapped(part, options_.max_rows);
-    }
-    return Status::Ok();
   }
 
   // No varying component: every input row resolves the pattern to the same
   // constants-plus-wildcards lookup (the seed row of a fresh group always
-  // lands here), so the matches are scanned exactly once — optionally in
-  // parallel range slices — and cross-joined row-major.
-  Status BroadcastKernel(const CompiledTriple& cp, const Chunk& in,
-                         const std::vector<uint8_t>& src, Chunk* out) {
+  // lands here), so the matches are scanned exactly once and cross-joined
+  // row-major.
+  Status BroadcastKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
+                         const Chunk& in, Chunk* out) {
     auto comp = [](uint64_t c) {
       return CompiledTriple::IsSlot(c) ? kNullTermId : static_cast<TermId>(c);
     };
@@ -979,78 +613,27 @@ class Evaluator {
     typename StoreT::Range range = store_.Locate(s, p, o);
     std::vector<rdf::Triple> matches;
     matches.reserve(std::min(range.size(), cap));
+    bool expired = false;
+    store_.MatchRange(range, s, p, o, [&](const rdf::Triple& t) {
+      if (!TickBatch()) {
+        expired = true;
+        return false;
+      }
+      if (repeated.Admits(t)) matches.push_back(t);
+      return matches.size() < cap;
+    });
+    if (expired) return Expired();
 
-    const size_t threads = options_.intra_query_threads;
-    std::vector<typename StoreT::Range> slices;
-    if (threads > 1 && options_.eval_pool != nullptr &&
-        range.size() >= options_.min_shard_work) {
-      size_t slice = std::max<size_t>({size_t{1}, options_.min_morsel_triples,
-                                       range.size() / (threads * 4)});
-      slices = store_.Partition(range, (range.size() + slice - 1) / slice);
-    }
-    if (slices.size() > 1) {
-      // Parallel scan: contiguous slices merged in order are the serial
-      // match sequence; truncate at the cap like the serial scan would.
-      std::vector<std::vector<rdf::Triple>> parts(slices.size());
-      std::vector<size_t> slice_batches(slices.size(), 0);
-      std::atomic<bool> cancelled{false};
-      util::ParallelFor(options_.eval_pool, slices.size(), [&](size_t i) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        BatchState local;
-        store_.MatchRange(slices[i], s, p, o, [&](const rdf::Triple& t) {
-          if (!TickBatch(&local)) {
-            cancelled.store(true, std::memory_order_relaxed);
-            return false;
-          }
-          parts[i].push_back(t);
-          return parts[i].size() < cap;
-        });
-        slice_batches[i] = local.batches;
-      });
-      for (size_t b : slice_batches) batches_ += b;
-      if (cancelled.load(std::memory_order_relaxed)) {
-        return Status::DeadlineExceeded("evaluation cancelled mid-batch");
-      }
-      for (const std::vector<rdf::Triple>& part : parts) {
-        for (const rdf::Triple& t : part) {
-          if (matches.size() >= cap) break;
-          matches.push_back(t);
-        }
-        if (matches.size() >= cap) break;
-      }
-    } else {
-      BatchState bs;
-      bool expired = false;
-      store_.MatchRange(range, s, p, o, [&](const rdf::Triple& t) {
-        if (!TickBatch(&bs)) {
-          expired = true;
-          return false;
-        }
-        matches.push_back(t);
-        return matches.size() < cap;
-      });
-      batches_ += bs.batches;
-      if (expired) {
-        return Status::DeadlineExceeded("evaluation cancelled mid-batch");
-      }
-    }
-
-    // Row-major cross join: row r first, then match order — the serial
-    // (row, index) emission order, capped exactly where serial stops.
-    BatchState bs;
+    // Row-major cross join: row r first, then match order, capped at
+    // max_rows.
     out->Reserve(std::min(cap, in.rows() * matches.size()));
     for (size_t r = 0; r < in.rows(); ++r) {
       for (const rdf::Triple& t : matches) {
-        if (!TickBatch(&bs)) {
-          batches_ += bs.batches;
-          return Status::DeadlineExceeded("evaluation cancelled mid-batch");
-        }
-        out->AppendJoinRow(in, r, t, src);
-        if (out->rows() >= cap) break;
+        if (!TickBatch()) return Expired();
+        out->AppendJoinRow(in, r, t, cp);
+        if (out->rows() >= cap) return Status::Ok();
       }
-      if (out->rows() >= cap) break;
     }
-    batches_ += bs.batches;
     return Status::Ok();
   }
 
@@ -1059,10 +642,9 @@ class Evaluator {
   // order, then probe per input row.  A group's order is the per-row scan
   // order in *any* permutation, because its triples agree on every
   // component except the (at most one) wildcard.
-  Status HashKernel(const CompiledTriple& cp, const Chunk& in,
-                    const std::vector<uint8_t>& src,
-                    const typename StoreT::Range& build_range, CompKind ks,
-                    CompKind kp, CompKind ko, Chunk* out) {
+  Status HashKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
+                    const Chunk& in, const typename StoreT::Range& build_range,
+                    CompKind ks, CompKind kp, CompKind ko, Chunk* out) {
     auto build_comp = [](uint64_t c, CompKind k) {
       return k == CompKind::kConst ? static_cast<TermId>(c) : kNullTermId;
     };
@@ -1070,101 +652,72 @@ class Evaluator {
     const TermId p = build_comp(cp.p, kp);
     const TermId o = build_comp(cp.o, ko);
     std::unordered_map<uint64_t, std::vector<rdf::Triple>> table;
-    {
-      BatchState bs;
-      bool expired = false;
-      store_.MatchRange(build_range, s, p, o, [&](const rdf::Triple& t) {
-        if (!TickBatch(&bs)) {
-          expired = true;
-          return false;
-        }
-        uint64_t key = 0;
-        if (ks == CompKind::kVarying) key = t.s;
-        if (kp == CompKind::kVarying) key = (key << 32) | t.p;
-        if (ko == CompKind::kVarying) key = (key << 32) | t.o;
-        table[key].push_back(t);
-        return true;
-      });
-      batches_ += bs.batches;
-      if (expired) {
-        return Status::DeadlineExceeded("evaluation cancelled mid-batch");
+    bool expired = false;
+    store_.MatchRange(build_range, s, p, o, [&](const rdf::Triple& t) {
+      if (!TickBatch()) {
+        expired = true;
+        return false;
+      }
+      if (!repeated.Admits(t)) return true;
+      uint64_t key = 0;
+      if (ks == CompKind::kVarying) key = t.s;
+      if (kp == CompKind::kVarying) key = (key << 32) | t.p;
+      if (ko == CompKind::kVarying) key = (key << 32) | t.o;
+      table[key].push_back(t);
+      return true;
+    });
+    if (expired) return Expired();
+
+    const size_t cap = options_.max_rows;
+    for (size_t r = 0; r < in.rows(); ++r) {
+      uint64_t key = 0;
+      if (ks == CompKind::kVarying) {
+        key = in.At(r, CompiledTriple::Slot(cp.s));
+      }
+      if (kp == CompKind::kVarying) {
+        key = (key << 32) | in.At(r, CompiledTriple::Slot(cp.p));
+      }
+      if (ko == CompKind::kVarying) {
+        key = (key << 32) | in.At(r, CompiledTriple::Slot(cp.o));
+      }
+      auto it = table.find(key);
+      if (it == table.end()) continue;
+      for (const rdf::Triple& t : it->second) {
+        if (!TickBatch()) return Expired();
+        out->AppendJoinRow(in, r, t, cp);
+        if (out->rows() >= cap) return Status::Ok();
       }
     }
-    const size_t cap = options_.max_rows;
-    auto exec = [&](size_t begin, size_t end, Chunk* dst, BatchState* bs) {
-      for (size_t r = begin; r < end; ++r) {
-        uint64_t key = 0;
-        if (ks == CompKind::kVarying) {
-          key = in.At(r, CompiledTriple::Slot(cp.s));
-        }
-        if (kp == CompKind::kVarying) {
-          key = (key << 32) | in.At(r, CompiledTriple::Slot(cp.p));
-        }
-        if (ko == CompKind::kVarying) {
-          key = (key << 32) | in.At(r, CompiledTriple::Slot(cp.o));
-        }
-        auto it = table.find(key);
-        if (it == table.end()) continue;
-        for (const rdf::Triple& t : it->second) {
-          if (!TickBatch(bs)) return false;
-          dst->AppendJoinRow(in, r, t, src);
-          if (dst->rows() >= cap) break;
-        }
-        if (dst->rows() >= cap) break;
-      }
-      return true;
-    };
-    return ShardRows(in, out, exec);
+    return Status::Ok();
   }
 
-  // The per-row fallback: Locate + scan for each input row, exactly the
-  // serial join step's store access pattern, emitting into columns.
-  Status ProbeKernel(const CompiledTriple& cp, const Chunk& in,
-                     const std::vector<uint8_t>& src, Chunk* out) {
+  // The per-row fallback: Locate + scan for each input row, emitting into
+  // columns.
+  Status ProbeKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
+                     const Chunk& in, Chunk* out) {
     const size_t cap = options_.max_rows;
-    auto exec = [&](size_t begin, size_t end, Chunk* dst, BatchState* bs) {
-      for (size_t r = begin; r < end; ++r) {
-        TermId s = ResolveChunk(cp.s, in, r);
-        TermId p = ResolveChunk(cp.p, in, r);
-        TermId o = ResolveChunk(cp.o, in, r);
-        bool expired = false;
-        store_.Match(s, p, o, [&](const rdf::Triple& t) {
-          if (!TickBatch(bs)) {
-            expired = true;
-            return false;
-          }
-          dst->AppendJoinRow(in, r, t, src);
-          return dst->rows() < cap;
-        });
-        if (expired) return false;
-        if (dst->rows() >= cap) break;
-      }
-      return true;
-    };
-    return ShardRows(in, out, exec);
+    for (size_t r = 0; r < in.rows(); ++r) {
+      bool expired = false;
+      store_.Match(Resolve(cp.s, in, r), Resolve(cp.p, in, r),
+                   Resolve(cp.o, in, r), [&](const rdf::Triple& t) {
+                     if (!TickBatch()) {
+                       expired = true;
+                       return false;
+                     }
+                     if (repeated.Admits(t)) out->AppendJoinRow(in, r, t, cp);
+                     return out->rows() < cap;
+                   });
+      if (expired) return Expired();
+      if (out->rows() >= cap) break;
+    }
+    return Status::Ok();
   }
 
- public:
-  // Number of join steps that actually ran sharded / total morsels they
-  // spawned (for the sparql.eval.* registry metrics; 0 on the serial path),
-  // plus the vectorized path's step/batch-boundary counts and the planner's
-  // multi-pattern group counts.
-  size_t sharded_steps() const { return sharded_steps_; }
-  size_t morsels() const { return morsel_count_; }
-  size_t vectorized_steps() const { return vectorized_steps_; }
-  size_t batches() const { return batches_; }
-  size_t planned_groups() const { return planned_groups_; }
-  size_t reordered_plans() const { return reordered_plans_; }
-
- private:
   // ---- FILTER expression evaluation ----
   //
-  // Templated over the row representation (Binding or ChunkRow) so the
-  // row and vectorized paths share one implementation.
 
   // Three-valued-lite: comparisons involving unbound vars are false.
-  template <typename RowT>
-  bool EvalExprBool(const Expr& e, const RowT& b) const {
+  bool EvalExprBool(const Expr& e, const ChunkRow& b) const {
     switch (e.op) {
       case ExprOp::kAnd:
         return EvalExprBool(*e.lhs, b) && EvalExprBool(*e.rhs, b);
@@ -1234,8 +787,7 @@ class Evaluator {
     }
   }
 
-  template <typename RowT>
-  std::optional<Term> EvalOperand(const Expr& e, const RowT& b) const {
+  std::optional<Term> EvalOperand(const Expr& e, const ChunkRow& b) const {
     if (e.op == ExprOp::kConstant) return e.constant;
     if (e.op == ExprOp::kVar) {
       auto slot = slots_.Find(e.var.name);
@@ -1265,8 +817,7 @@ class Evaluator {
     return true;
   }
 
-  template <typename RowT>
-  bool EvalComparison(const Expr& e, const RowT& b) const {
+  bool EvalComparison(const Expr& e, const ChunkRow& b) const {
     std::optional<Term> lhs = EvalOperand(*e.lhs, b);
     std::optional<Term> rhs = EvalOperand(*e.rhs, b);
     if (!lhs.has_value() || !rhs.has_value()) return false;
@@ -1297,12 +848,10 @@ class Evaluator {
         return false;
     }
   }
-
   // ---- Projection ----
 
-  // The aggregate proper, over the already-collected operand values (in
-  // row order, distinct already applied).  Shared by the row path and the
-  // columnar path, which differ only in how they gather the values.
+  // The aggregate proper, over the operand values (in row order, distinct
+  // already applied).
   Term AggregateFromValues(const Aggregate& agg,
                            const std::vector<TermId>& values) const {
     switch (agg.op) {
@@ -1360,26 +909,9 @@ class Evaluator {
     }
     return rdf::IntLiteral(0);
   }
-
-  // Evaluates one aggregate over the solution rows.
-  Term EvalAggregate(const Aggregate& agg,
-                     const std::vector<Binding>& rows) const {
-    auto slot = slots_.Find(agg.var.name);
-    std::vector<TermId> values;
-    if (slot.has_value()) {
-      std::unordered_set<TermId> seen;
-      for (const Binding& b : rows) {
-        if (b[*slot] == kNullTermId) continue;
-        if (agg.distinct && !seen.insert(b[*slot]).second) continue;
-        values.push_back(b[*slot]);
-      }
-    }
-    return AggregateFromValues(agg, values);
-  }
-
-  // Columnar variant: reads the slot's column directly — no row
-  // materialization for aggregate-only queries.
-  Term EvalAggregateChunk(const Aggregate& agg, const Chunk& chunk) const {
+  // Evaluates one aggregate over the solution batch, reading the slot's
+  // column directly.
+  Term EvalAggregate(const Aggregate& agg, const Chunk& chunk) const {
     auto slot = slots_.Find(agg.var.name);
     std::vector<TermId> values;
     if (slot.has_value()) {
@@ -1394,51 +926,57 @@ class Evaluator {
     return AggregateFromValues(agg, values);
   }
 
-  StatusOr<ResultSet> Project(const Query& query,
-                              std::vector<Binding> rows) {
+  // ORDER BY comparison of two bound-or-unbound values: -1, 0 or 1.  A
+  // total preorder: unbound sorts first, then numeric literals by value
+  // (equal values by lexical form), then every other term by lexical
+  // form.  NaN ("NaN", "nan") is not a number here: it compares unequal
+  // to everything, which would break the order.  Terms with equal sort
+  // keys compare 0 and fall through to the next ORDER BY key.
+  int CompareForOrder(TermId a, TermId b) const {
+    if (a == b) return 0;
+    if (a == kNullTermId) return -1;
+    if (b == kNullTermId) return 1;
+    const Term ta = TermOf(a);
+    const Term tb = TermOf(b);
+    double va, vb;
+    const bool na = IsNumeric(ta, &va) && !std::isnan(va);
+    const bool nb = IsNumeric(tb, &vb) && !std::isnan(vb);
+    if (na != nb) return na ? -1 : 1;
+    if (na && va != vb) return va < vb ? -1 : 1;
+    const int cmp = ta.value.compare(tb.value);
+    return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+  }
+
+  StatusOr<ResultSet> Project(const Query& query, const Chunk& chunk) {
     // Aggregates: single-row result over the whole solution set.
     if (!query.aggregates.empty()) {
       std::vector<std::string> cols;
       Row out_row;
       for (const Aggregate& agg : query.aggregates) {
         cols.push_back(agg.alias.name);
-        out_row.push_back(EvalAggregate(agg, rows));
+        out_row.push_back(EvalAggregate(agg, chunk));
       }
       ResultSet rs(std::move(cols));
       rs.AddRow(std::move(out_row));
       return rs;
     }
 
-    // ORDER BY: sort the solution rows before projection.
+    // Row visiting order: solution order, stably sorted by ORDER BY.
+    std::vector<size_t> order(chunk.rows());
+    std::iota(order.begin(), order.end(), size_t{0});
     if (!query.order_by.empty()) {
       std::vector<std::pair<size_t, bool>> keys;  // (slot, descending)
       for (const OrderKey& key : query.order_by) {
         auto slot = slots_.Find(key.var.name);
         if (slot.has_value()) keys.emplace_back(*slot, key.descending);
       }
-      auto term_less = [&](TermId a, TermId b) {
-        // Unbound sorts first; numbers numerically; everything else by
-        // lexical form.
-        if (a == b) return false;
-        if (a == kNullTermId) return true;
-        if (b == kNullTermId) return false;
-        const Term& ta = TermOf(a);
-        const Term& tb = TermOf(b);
-        double va, vb;
-        if (IsNumeric(ta, &va) && IsNumeric(tb, &vb)) {
-          if (va != vb) return va < vb;
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        for (const auto& [slot, desc] : keys) {
+          const int cmp = CompareForOrder(chunk.At(a, slot), chunk.At(b, slot));
+          if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
         }
-        return ta.value < tb.value;
-      };
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const Binding& a, const Binding& b) {
-                         for (const auto& [slot, desc] : keys) {
-                           if (a[slot] == b[slot]) continue;
-                           bool less = term_less(a[slot], b[slot]);
-                           return desc ? !less : less;
-                         }
-                         return false;
-                       });
+        return false;
+      });
     }
 
     // Column list.
@@ -1464,10 +1002,10 @@ class Evaluator {
     ResultSet rs(cols);
     std::set<std::vector<TermId>> seen;
     size_t skipped = 0;
-    for (const Binding& b : rows) {
+    for (size_t r : order) {
       std::vector<TermId> key;
       key.reserve(col_slots.size());
-      for (size_t slot : col_slots) key.push_back(b[slot]);
+      for (size_t slot : col_slots) key.push_back(chunk.At(r, slot));
       if (query.distinct) {
         if (!seen.insert(key).second) continue;
       }
@@ -1488,29 +1026,6 @@ class Evaluator {
       if (query.limit > 0 && rs.NumRows() >= query.limit) break;
     }
     return rs;
-  }
-
-  // Vectorized projection: aggregates stay columnar; everything else
-  // (ORDER BY, DISTINCT, OFFSET/LIMIT) materializes rows once at the very
-  // end and reuses the row projection verbatim.
-  StatusOr<ResultSet> ProjectChunk(const Query& query, Chunk chunk) {
-    if (!query.aggregates.empty()) {
-      std::vector<std::string> cols;
-      Row out_row;
-      for (const Aggregate& agg : query.aggregates) {
-        cols.push_back(agg.alias.name);
-        out_row.push_back(EvalAggregateChunk(agg, chunk));
-      }
-      ResultSet rs(std::move(cols));
-      rs.AddRow(std::move(out_row));
-      return rs;
-    }
-    std::vector<Binding> rows;
-    rows.reserve(chunk.rows());
-    for (size_t r = 0; r < chunk.rows(); ++r) {
-      rows.push_back(chunk.ToBinding(r));
-    }
-    return Project(query, std::move(rows));
   }
 
   // Collects variable names in first-appearance order (matches SlotMap
@@ -1559,16 +1074,13 @@ class Evaluator {
   // (their ids live above dictionary().MaxId(); see InternValue/TermOf).
   std::vector<Term> overlay_terms_;
   std::unordered_map<std::string, TermId> overlay_ids_;
-  size_t sharded_steps_ = 0;
-  size_t morsel_count_ = 0;
-  size_t vectorized_steps_ = 0;
+  size_t steps_ = 0;
+  size_t work_ = 0;  // Work units since the last batch boundary.
   size_t batches_ = 0;
   size_t planned_groups_ = 0;
   size_t reordered_plans_ = 0;
   // EXPLAIN ANALYZE: the calling thread's operator-stats sink (owned by
-  // the engine) and the once-per-query analyze decision.  Only the
-  // coordinator thread touches profile_ — the step loops never run on
-  // morsel workers.
+  // the engine) and the once-per-query analyze decision.
   EvalProfile* profile_ = nullptr;
   bool analyze_ = false;
 };
@@ -1607,39 +1119,18 @@ StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
       plan_reordered.Add(evaluator.reordered_plans());
     }
   }
-  if (evaluator.sharded_steps() > 0) {
-    // Sharded-path-only instrumentation: the serial path must not touch
-    // the registry beyond the pre-existing counters and the plan counters
-    // above.
+  if (evaluator.steps() > 0) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    static obs::Counter& sharded_queries =
-        registry.GetCounter("sparql.eval.sharded_queries");
-    static obs::Counter& sharded_steps =
-        registry.GetCounter("sparql.eval.sharded_steps");
-    static obs::Counter& morsels = registry.GetCounter("sparql.eval.morsels");
-    sharded_queries.Add(1);
-    sharded_steps.Add(evaluator.sharded_steps());
-    morsels.Add(evaluator.morsels());
-    if (obs::Trace* trace = obs::CurrentTrace()) {
-      trace->AddCounter(obs::TraceCounter::kEvalMorsels,
-                        evaluator.morsels());
-    }
-  }
-  if (evaluator.vectorized_steps() > 0) {
-    // Vectorized-path-only instrumentation (the path is opt-in).
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    static obs::Counter& vec_queries =
-        registry.GetCounter("sparql.eval.batch.queries");
-    static obs::Counter& vec_steps =
-        registry.GetCounter("sparql.eval.batch.steps");
-    static obs::Counter& vec_batches =
+    static obs::Counter& steps = registry.GetCounter("sparql.eval.batch.steps");
+    static obs::Counter& batches =
         registry.GetCounter("sparql.eval.batch.batches");
-    vec_queries.Add(1);
-    vec_steps.Add(evaluator.vectorized_steps());
-    vec_batches.Add(evaluator.batches());
-    if (obs::Trace* trace = obs::CurrentTrace()) {
-      trace->AddCounter(obs::TraceCounter::kEvalBatches,
-                        evaluator.batches());
+    steps.Add(evaluator.steps());
+    if (evaluator.batches() > 0) {
+      batches.Add(evaluator.batches());
+      if (obs::Trace* trace = obs::CurrentTrace()) {
+        trace->AddCounter(obs::TraceCounter::kEvalBatches,
+                          evaluator.batches());
+      }
     }
   }
   return result;

@@ -18,8 +18,7 @@
 // Entry indices are the public coordinate system: CompactScanRange counts
 // compressed entries exactly like ScanRange counts triples, so
 // Locate/Partition/MatchRange/EstimateMatches keep their v1 semantics and
-// the morsel-sharded + vectorized evaluators and the planner's cardinality
-// estimates run unchanged.  Locate is O(log runs + log blocks + kBlock):
+// the evaluator and the planner's cardinality estimates run unchanged.  Locate is O(log runs + log blocks + kBlock):
 // binary search on `keys`, then on block-first entries (each O(1)-decodable
 // at a known byte offset), then at most one block of linear decode.
 //

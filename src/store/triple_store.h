@@ -79,7 +79,7 @@ struct PermLess {
 // A contiguous run of candidate triples in one permutation index: the
 // sorted [lo, hi) range whose key prefix matches a lookup pattern.  Every
 // triple pattern lookup reduces to one of these; Partition() splits one
-// into morsels for intra-query parallel scans.
+// into contiguous slices.
 struct ScanRange {
   Perm perm = Perm::kSpo;
   size_t lo = 0;

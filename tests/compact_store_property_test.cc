@@ -1,8 +1,7 @@
 // Differential battery for the compact store: every answer served from
 // the dictionary-compressed CSR store must be byte-identical to v1 —
-// across both benchgen KG families, all four eval modes (serial,
-// morsel-sharded, vectorized, both), live AddNTriples updates riding the
-// delta overlay, and a snapshot
+// across both benchgen KG families, several evaluation batch widths, live
+// AddNTriples updates riding the delta overlay, and a snapshot
 // save/mmap-load round trip whose Locate ranges match the builder's
 // entry-for-entry.  A corruption lane pins that damaged snapshots are
 // rejected rather than served.
@@ -151,31 +150,25 @@ benchgen::BuiltKg BuildKgForRound(int round, uint64_t seed) {
   }
 }
 
+// Batch widths the lanes run at: a boundary after every work unit, an odd
+// width that lands mid-join, and the default.
 struct EvalMode {
   const char* name;
-  size_t intra_query_threads;
-  bool vectorized;
+  size_t batch_size;
 };
 
 constexpr EvalMode kEvalModes[] = {
-    {"serial", 1, false},
-    {"morsel-sharded", 3, false},
-    {"vectorized", 1, true},
-    {"morsel-sharded+vectorized", 3, true},
+    {"batch-1", 1},
+    {"batch-7", 7},
+    {"batch-1024", 1024},
 };
 
 void ApplyMode(Endpoint& ep, const EvalMode& mode) {
-  ep.set_intra_query_threads(mode.intra_query_threads);
-  ep.set_vectorized_eval(mode.vectorized);
-  if (mode.intra_query_threads > 1) {
-    // Force morsel sharding on these deliberately small KGs.
-    ep.mutable_eval_options().min_shard_work = 0;
-    ep.mutable_eval_options().min_morsel_triples = 1;
-  }
+  ep.mutable_eval_options().batch_size = mode.batch_size;
 }
 
 // Random SPARQL through the public Endpoint API: the compact endpoint and
-// the v1 endpoint must return byte-identical rows in every eval mode,
+// the v1 endpoint must return byte-identical rows at every batch width,
 // before and after a live AddNTriples update that lands in the compact
 // store's delta overlay.
 TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
@@ -196,7 +189,7 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
 
     for (int c = 0; c < kCasesPerKg; ++c) {
       std::string query = gen.RandSparql();
-      const EvalMode& mode = kEvalModes[master.Next() % 4];
+      const EvalMode& mode = kEvalModes[master.Next() % 3];
       SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " round " +
                    std::to_string(round) + " case " + std::to_string(c) +
                    " mode " + mode.name + "\nquery: " + query);
@@ -210,7 +203,7 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
     }
 
     // Live update: the insert rides the compact store's overlay (no
-    // rebuild), and answers must stay byte-identical in every mode.
+    // rebuild), and answers must stay byte-identical at every batch width.
     const std::string delta =
         "<http://prop.test/fresh_a> <http://prop.test/linked> "
         "<http://prop.test/fresh_b> .\n"
@@ -247,7 +240,7 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
 }
 
 // Snapshot lane: save, mmap-load, and the loaded endpoint answers
-// byte-identically in every eval mode with Locate ranges matching the
+// byte-identically at every batch width with Locate ranges matching the
 // builder's entry-for-entry.
 TEST(CompactStorePropertyTest, SnapshotRoundTripServesIdentically) {
   const std::string path =
@@ -288,7 +281,7 @@ TEST(CompactStorePropertyTest, SnapshotRoundTripServesIdentically) {
 
   for (int c = 0; c < 10; ++c) {
     std::string query = gen.RandSparql();
-    const EvalMode& mode = kEvalModes[master.Next() % 4];
+    const EvalMode& mode = kEvalModes[master.Next() % 3];
     SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " case " +
                  std::to_string(c) + " mode " + mode.name + "\nquery: " +
                  query);

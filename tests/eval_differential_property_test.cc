@@ -1,11 +1,24 @@
-// Serial ≡ sharded ≡ vectorized differential property test: random queries
-// over random benchgen KGs must produce byte-identical ResultSets (same
-// rows, same order, same columns) across all four evaluation modes —
-// legacy serial, morsel-sharded, vectorized (columnar batches through the
-// cardinality-planned broadcast/hash/probe kernels), and
-// sharded + vectorized — at every thread count and batch size, including
-// when the max_rows cap truncates mid-step and when results round-trip
-// through the cross-question answer cache.
+// Differential battery for the SPARQL evaluator.  Random queries over
+// random benchgen KGs — triple patterns, bif:contains, VALUES, UNION,
+// OPTIONAL, isIRI FILTERs, COUNT, DISTINCT, ORDER BY, LIMIT/OFFSET and
+// SELECT * — must
+//  * return byte-identical ResultSets (same rows, same order, same
+//    columns) at every batch width and on both store backends (v1 and
+//    compact), at every row cap, including when the cap truncates
+//    mid-step and when results round-trip through the cross-question
+//    answer cache; and
+//  * agree with the test-only nested-loop ReferenceEvaluate
+//    (tests/reference_evaluator.h), which shares no evaluation code with
+//    production:
+//      - uncapped, without LIMIT/OFFSET: the same row multiset;
+//      - uncapped, with LIMIT/OFFSET: a sub-multiset of exactly the size
+//        LIMIT/OFFSET leave of the full result;
+//      - capped: a sub-multiset, for queries without OPTIONAL (a cap
+//        inside an OPTIONAL group can cut its matches to none, and the
+//        left join then keeps the unextended row — caps make results
+//        best-effort by design);
+//      - ASK and COUNT: equal when uncapped;
+//      - ORDER BY: the sort keys never decrease.
 //
 // The binary has its own main: `--seed=N` (or the KGQAN_PROPERTY_SEED
 // environment variable) reseeds the generator, so CI can rotate seeds and
@@ -14,24 +27,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "benchgen/kg.h"
 #include "core/answer_cache.h"
 #include "rdf/ntriples.h"
+#include "reference_evaluator.h"
 #include "sparql/ast.h"
 #include "sparql/canonical.h"
 #include "sparql/endpoint.h"
 #include "sparql/evaluator.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::sparql {
 
@@ -40,36 +58,55 @@ uint64_t g_property_seed = 0xD1FFu;
 
 namespace {
 
-// Random query generator grounded in a built benchgen KG: patterns use the
-// KG's real predicate IRIs and entity IRIs, so joins actually produce rows
-// and the planner has real cardinality spreads to reorder on.
+// Random query generator grounded in a built benchgen KG.  Most groups are
+// walks along the KG's schema — a chain `?a <p> ?b . ?b <q> ?c` where p's
+// objects have q's subject type, or a star on a shared subject — optionally
+// anchored at a real entity, so joins produce rows, the planner has real
+// cardinality spreads to reorder on and every join kernel runs.  The rest
+// are unconstrained shapes (full wildcards, variable predicates, random
+// ground terms) that are mostly empty or very wide.  OPTIONAL and UNION
+// groups continue the walk from a variable of the enclosing group.
 class KgQueryGen {
  public:
-  KgQueryGen(const benchgen::BuiltKg& kg, uint64_t seed) : rng_(seed) {
+  KgQueryGen(const benchgen::BuiltKg& kg, uint64_t seed)
+      : rng_(seed), facts_by_subject_(kg.facts_by_subject) {
     for (const auto& [key, iri] : kg.predicates) predicates_.push_back(iri);
     std::sort(predicates_.begin(), predicates_.end());
+    std::vector<std::string> keys;
     for (const auto& [key, facts] : kg.facts) {
+      if (!facts.empty()) keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    for (const std::string& key : keys) {
+      const std::vector<benchgen::Fact>& facts = kg.facts.at(key);
+      relations_.push_back(&facts);
+      relations_by_type_[facts.front().subject.type_key].push_back(&facts);
       for (const benchgen::Fact& fact : facts) {
-        entities_.push_back(fact.subject.iri);
-        if (!fact.subject.label.empty()) {
+        if (entities_.size() < 400) entities_.push_back(fact.subject.iri);
+        std::vector<std::string>& subjects =
+            entities_by_type_[fact.subject.type_key];
+        if (subjects.size() < 200) subjects.push_back(fact.subject.iri);
+        if (fact.object.IsIri() && !fact.object_type_key.empty()) {
+          std::vector<std::string>& objects =
+              entities_by_type_[fact.object_type_key];
+          if (objects.size() < 200) objects.push_back(fact.object.value);
+        }
+        if (!fact.subject.label.empty() && words_.size() < 400) {
           std::string word =
               fact.subject.label.substr(0, fact.subject.label.find(' '));
           if (!word.empty()) words_.push_back(std::move(word));
         }
-        if (entities_.size() >= 400) break;
       }
-      if (entities_.size() >= 400) break;
     }
-    std::sort(entities_.begin(), entities_.end());
-    entities_.erase(std::unique(entities_.begin(), entities_.end()),
-                    entities_.end());
-    std::sort(words_.begin(), words_.end());
-    words_.erase(std::unique(words_.begin(), words_.end()), words_.end());
+    for (std::vector<std::string>* v : {&entities_, &words_}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
   }
 
   Query RandQuery() {
     Query q;
-    q.where = RandGroup(1);
+    q.where = RandGroup(1, std::nullopt);
     if (rng_.UniformInt(0, 9) == 0) {
       q.form = Query::Form::kAsk;
       return q;
@@ -101,25 +138,42 @@ class KgQueryGen {
   }
 
  private:
+  // A walk position: a variable and the entity type it ranges over.
+  struct Anchor {
+    Var var;
+    std::string type;
+  };
+
+  template <typename T>
+  const T& Pick(const std::vector<T>& v) {
+    return v[rng_.UniformInt(0, static_cast<int64_t>(v.size()) - 1)];
+  }
   Var RandVar() {
     static const char* const kVars[] = {"a", "b", "c", "d", "e"};
     return Var{kVars[rng_.UniformInt(0, 4)]};
   }
-  rdf::Term RandEntity() {
-    return rdf::Iri(entities_[rng_.UniformInt(
-        0, static_cast<int64_t>(entities_.size()) - 1)]);
+  rdf::Term RandEntity() { return rdf::Iri(Pick(entities_)); }
+  rdf::Term RandPredicate() { return rdf::Iri(Pick(predicates_)); }
+
+  // The facts of a relation whose subjects have `type` (any relation
+  // when none has it).
+  const std::vector<benchgen::Fact>& RelationFrom(const std::string& type) {
+    auto it = relations_by_type_.find(type);
+    if (it == relations_by_type_.end()) return *Pick(relations_);
+    return *Pick(it->second);
   }
-  rdf::Term RandPredicate() {
-    return rdf::Iri(predicates_[rng_.UniformInt(
-        0, static_cast<int64_t>(predicates_.size()) - 1)]);
+
+  // An entity of `type` (any entity when none is known).
+  rdf::Term EntityOf(const std::string& type) {
+    auto it = entities_by_type_.find(type);
+    if (it == entities_by_type_.end()) return RandEntity();
+    return rdf::Iri(Pick(it->second));
   }
 
   TriplePattern RandPattern() {
-    // Shapes skewed toward wide scans and mixed selectivities: wildcard
-    // and predicate-only patterns exercise the broadcast kernel and give
-    // the planner something to reorder; ground-term patterns seed the
-    // selective entry points the plan should pick first.
-    switch (rng_.UniformInt(0, 9)) {
+    // Wildcard and predicate-only patterns exercise the broadcast kernel;
+    // ground-term patterns seed selective entry points.
+    switch (rng_.UniformInt(0, 4)) {
       case 0:  // Full wildcard: the widest possible scan.
         return TriplePattern{TermOrVar{RandVar()}, TermOrVar{RandVar()},
                              TermOrVar{RandVar()}};
@@ -138,20 +192,85 @@ class KgQueryGen {
     }
   }
 
-  GroupGraphPattern RandGroup(int depth) {
+  // Appends a walk of `n` patterns to `g`, starting at `at` (a new
+  // variable, sometimes a real entity, when unset), and returns the walk's
+  // variables.  Each step either chains through an entity-valued object or
+  // fans out as a star on the current node.
+  std::vector<Anchor> Walk(int n, const std::optional<Anchor>& at,
+                           GroupGraphPattern* g) {
+    std::vector<std::string> used;
+    auto fresh = [&] {
+      // An unused variable when one comes up, so the walk stays acyclic.
+      for (int tries = 0; tries < 8; ++tries) {
+        Var v = RandVar();
+        if (std::find(used.begin(), used.end(), v.name) == used.end()) {
+          used.push_back(v.name);
+          return v;
+        }
+      }
+      return RandVar();
+    };
+    std::vector<Anchor> vars;
+    TermOrVar node{at.has_value() ? at->var : fresh()};
+    if (at.has_value()) used.push_back(at->var.name);
+    std::string type = at.has_value() ? at->type : "";
+    for (int i = 0; i < n; ++i) {
+      // A variable node steps along a relation of its type; a ground node
+      // along one of its own facts.
+      const benchgen::Fact* fact;
+      if (IsVar(node)) {
+        fact = &Pick(RelationFrom(type));
+        if (i == 0 && !at.has_value() && rng_.UniformInt(0, 3) == 0) {
+          node = TermOrVar{rdf::Iri(fact->subject.iri)};
+        }
+      } else {
+        fact = &Pick(facts_by_subject_.at(AsTerm(node).value));
+      }
+      if (IsVar(node)) {
+        vars.push_back(Anchor{AsVar(node), fact->subject.type_key});
+      }
+      TermOrVar object{fresh()};
+      if (rng_.UniformInt(0, 7) == 0) object = TermOrVar{fact->object};
+      g->triples.push_back(TriplePattern{
+          node, TermOrVar{rdf::Iri(fact->predicate_iri)}, object});
+      if (IsVar(object)) {
+        vars.push_back(Anchor{AsVar(object), fact->object_type_key});
+      }
+      if (IsVar(object) && !fact->object_type_key.empty() &&
+          rng_.UniformInt(0, 1) == 0) {
+        node = object;
+        type = fact->object_type_key;
+      } else {
+        type = fact->subject.type_key;
+      }
+    }
+    return vars;
+  }
+
+  GroupGraphPattern RandGroup(int depth, std::optional<Anchor> at) {
     GroupGraphPattern g;
-    int n_triples = static_cast<int>(rng_.UniformInt(1, 3));
-    for (int i = 0; i < n_triples; ++i) g.triples.push_back(RandPattern());
+    const int n_triples = static_cast<int>(rng_.UniformInt(1, 3));
+    std::vector<Anchor> anchors;
+    if (rng_.UniformInt(0, 9) < 7) {
+      anchors = Walk(n_triples, at, &g);
+    } else {
+      for (int i = 0; i < n_triples; ++i) g.triples.push_back(RandPattern());
+    }
+    if (anchors.empty()) anchors.push_back(Anchor{RandVar(), ""});
     if (!words_.empty() && rng_.UniformInt(0, 9) == 0) {
-      g.text_patterns.push_back(TextPattern{
-          RandVar(), words_[rng_.UniformInt(
-                         0, static_cast<int64_t>(words_.size()) - 1)]});
+      g.text_patterns.push_back(TextPattern{RandVar(), Pick(words_)});
     }
     if (rng_.UniformInt(0, 9) < 2) {
+      // VALUES on a walk variable: entities of its type (many join),
+      // mixed with random entities (most do not).
+      const Anchor& a = Pick(anchors);
       InlineValues iv;
-      iv.var = RandVar();
-      int n_values = static_cast<int>(rng_.UniformInt(1, 3));
-      for (int i = 0; i < n_values; ++i) iv.values.push_back(RandEntity());
+      iv.var = a.var;
+      int n_values = static_cast<int>(rng_.UniformInt(1, 4));
+      for (int i = 0; i < n_values; ++i) {
+        iv.values.push_back(rng_.UniformInt(0, 3) > 0 ? EntityOf(a.type)
+                                                       : RandEntity());
+      }
       g.values.push_back(std::move(iv));
     }
     if (rng_.UniformInt(0, 9) < 2) {
@@ -159,7 +278,7 @@ class KgQueryGen {
       e.op = ExprOp::kIsIri;
       Expr leaf;
       leaf.op = ExprOp::kVar;
-      leaf.var = RandVar();
+      leaf.var = rng_.UniformInt(0, 3) > 0 ? Pick(anchors).var : RandVar();
       e.lhs = std::make_unique<Expr>(std::move(leaf));
       g.filters.push_back(std::move(e));
     }
@@ -168,19 +287,25 @@ class KgQueryGen {
         std::vector<GroupGraphPattern> branches;
         int n_branches = static_cast<int>(rng_.UniformInt(1, 2));
         for (int i = 0; i < n_branches; ++i) {
-          branches.push_back(RandGroup(depth - 1));
+          branches.push_back(RandGroup(depth - 1, Pick(anchors)));
         }
         g.unions.push_back(std::move(branches));
       }
-      if (rng_.UniformInt(0, 9) < 2) {
-        g.optionals.push_back(RandGroup(depth - 1));
+      if (rng_.UniformInt(0, 9) < 3) {
+        g.optionals.push_back(RandGroup(depth - 1, Pick(anchors)));
       }
     }
     return g;
   }
 
   util::Rng rng_;
+  const std::unordered_map<std::string, std::vector<benchgen::Fact>>&
+      facts_by_subject_;
   std::vector<std::string> predicates_;
+  std::vector<const std::vector<benchgen::Fact>*> relations_;
+  std::map<std::string, std::vector<const std::vector<benchgen::Fact>*>>
+      relations_by_type_;
+  std::map<std::string, std::vector<std::string>> entities_by_type_;
   std::vector<std::string> entities_;
   std::vector<std::string> words_;
 };
@@ -206,37 +331,25 @@ std::string DumpResults(const ResultSet& rs) {
       a.columns() == b.columns() && a.rows() == b.rows()) {
     return ::testing::AssertionSuccess();
   }
-  return ::testing::AssertionFailure() << "serial:\n" << DumpResults(a)
-                                       << "other mode:\n" << DumpResults(b);
+  return ::testing::AssertionFailure() << "default lane:\n" << DumpResults(a)
+                                       << "other lane:\n" << DumpResults(b);
 }
 
-// One evaluation lane: a (threads, batch_size, vectorized) point of the
-// mode lattice.  threads > 1 lanes force sharding on the tiny test KGs.
-struct Lane {
-  const char* name;
-  size_t threads;
-  util::ThreadPool* pool;
-  bool vectorized;
-  size_t batch_size;
-};
+// Evaluation lanes: every batch width, on both store backends.  Width 1
+// puts a batch boundary after every unit of work, 7 lands mid-join.
+constexpr size_t kBatchSizes[] = {1, 7, 1024};
 
-EvalOptions LaneOptions(const EvalOptions& base, const Lane& lane) {
-  EvalOptions opts = base;
-  opts.intra_query_threads = lane.threads;
-  opts.eval_pool = lane.pool;
-  opts.vectorized = lane.vectorized;
-  if (lane.batch_size > 0) opts.batch_size = lane.batch_size;
-  if (lane.threads > 1) {
-    // Force sharding on these deliberately tiny KGs.
-    opts.min_shard_work = 0;
-    opts.min_morsel_triples = 1;
-  }
-  return opts;
-}
+// Row caps of the capped runs; the uncapped run sets no cap at all.
+constexpr size_t kSmallCaps[] = {7, 50};
+constexpr size_t kUncapped = std::numeric_limits<size_t>::max();
+
+// The oracle gives up (OutOfRange) past this many live solutions; such a
+// query is then checked only against production itself.
+constexpr size_t kReferenceBudget = 50000;
 
 benchgen::BuiltKg BuildKgForRound(int round, uint64_t seed) {
-  // Alternate the two benchmark KG families (general / scholarly) so both
-  // data shapes hit every mode.
+  // Alternate the benchmark KG families (general / scholarly) so both
+  // data shapes cross every lane.
   switch (round % 3) {
     case 0:
       return benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05,
@@ -249,70 +362,245 @@ benchgen::BuiltKg BuildKgForRound(int round, uint64_t seed) {
   }
 }
 
+// Evaluates `query` with row cap `max_rows` in every lane, expects every
+// lane to equal the default lane (batch 1024 on v1) byte for byte, and
+// stores that result in `out`.
+void EvalAllLanes(const Query& query, const LocalEndpoint& v1,
+                  const CompactEndpoint& compact, size_t max_rows,
+                  std::optional<ResultSet>* out) {
+  EvalOptions base;
+  base.max_rows = max_rows;
+  auto first = Evaluate(query, v1.store(), v1.text_index(), base);
+  ASSERT_TRUE(first.ok()) << first.status();
+  for (size_t batch : kBatchSizes) {
+    EvalOptions opts = base;
+    opts.batch_size = batch;
+    auto got_v1 = Evaluate(query, v1.store(), v1.text_index(), opts);
+    ASSERT_TRUE(got_v1.ok()) << "v1 batch " << batch << ": "
+                             << got_v1.status();
+    EXPECT_TRUE(SameResults(*first, *got_v1)) << "v1 batch " << batch;
+    auto got_compact =
+        Evaluate(query, compact.store(), compact.text_index(), opts);
+    ASSERT_TRUE(got_compact.ok())
+        << "compact batch " << batch << ": " << got_compact.status();
+    EXPECT_TRUE(SameResults(*first, *got_compact))
+        << "compact batch " << batch;
+  }
+  out->emplace(std::move(*first));
+}
+
+bool HasOptional(const GroupGraphPattern& g) {
+  if (!g.optionals.empty()) return true;
+  for (const auto& branches : g.unions) {
+    for (const GroupGraphPattern& branch : branches) {
+      if (HasOptional(branch)) return true;
+    }
+  }
+  return false;
+}
+
+// Rows rendered one string each, sorted: a multiset.
+std::vector<std::string> RowMultiset(const ResultSet& rs) {
+  std::vector<std::string> rows;
+  for (const auto& row : rs.rows()) {
+    std::string line;
+    for (const auto& cell : row) {
+      line += cell.has_value() ? rdf::ToNTriples(*cell) : std::string("_");
+      line += '\t';
+    }
+    rows.push_back(std::move(line));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+::testing::AssertionResult MatchesReference(const Query& query,
+                                            const ResultSet& got,
+                                            const ResultSet& ref,
+                                            bool capped) {
+  auto fail = [&](const char* what) {
+    return ::testing::AssertionFailure()
+           << what << (capped ? " (capped)" : " (uncapped)")
+           << "\nreference:\n" << DumpResults(ref) << "production:\n"
+           << DumpResults(got);
+  };
+  // Without OPTIONAL every row a capped evaluation emits is a solution.
+  const bool capped_rows_sound = !HasOptional(query.where);
+  if (query.form == Query::Form::kAsk) {
+    if (!capped && got.ask_value() != ref.ask_value()) return fail("ASK");
+    if (capped && capped_rows_sound && got.ask_value() && !ref.ask_value()) {
+      return fail("ASK");
+    }
+    return ::testing::AssertionSuccess();
+  }
+  if (got.columns() != ref.columns()) return fail("columns");
+  if (!query.aggregates.empty()) {
+    if (!capped && got.rows() != ref.rows()) return fail("COUNT");
+    if (capped && capped_rows_sound) {
+      for (size_t c = 0; c < got.NumColumns(); ++c) {
+        if (std::stoll(got.At(0, c)->value) > std::stoll(ref.At(0, c)->value)) {
+          return fail("COUNT above the reference");
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const std::vector<std::string> got_rows = RowMultiset(got);
+  const std::vector<std::string> ref_rows = RowMultiset(ref);
+  if (capped && !capped_rows_sound) return ::testing::AssertionSuccess();
+  if (!std::includes(ref_rows.begin(), ref_rows.end(), got_rows.begin(),
+                     got_rows.end())) {
+    return fail("rows not a sub-multiset of the reference");
+  }
+  if (query.limit > 0 && got_rows.size() > query.limit) {
+    return fail("more rows than LIMIT");
+  }
+  if (!capped) {
+    size_t want = ref_rows.size() > query.offset
+                      ? ref_rows.size() - query.offset
+                      : 0;
+    if (query.limit > 0) want = std::min(want, query.limit);
+    if (got_rows.size() != want) return fail("row count");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// ORDER BY's documented order, restated: unbound first, then numeric
+// literals (NaN excluded) by value, then everything else by lexical form.
+int OrderCompare(const std::optional<rdf::Term>& a,
+                 const std::optional<rdf::Term>& b) {
+  if (!a.has_value() || !b.has_value()) {
+    return a.has_value() == b.has_value() ? 0 : (a.has_value() ? 1 : -1);
+  }
+  auto numeric = [](const rdf::Term& t, double* v) {
+    if (!t.IsLiteral()) return false;
+    char* end = nullptr;
+    *v = std::strtod(t.value.c_str(), &end);
+    return end != t.value.c_str() && *end == '\0' && !std::isnan(*v);
+  };
+  double va, vb;
+  const bool na = numeric(*a, &va);
+  const bool nb = numeric(*b, &vb);
+  if (na != nb) return na ? -1 : 1;
+  if (na && va != vb) return va < vb ? -1 : 1;
+  const int cmp = a->value.compare(b->value);
+  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+}
+
+// Consecutive rows never step backwards in ORDER BY key order.  Checked
+// only when every key is a projected column.
+::testing::AssertionResult SortKeysNeverDecrease(const Query& query,
+                                                 const ResultSet& rs) {
+  if (query.order_by.empty() || rs.is_ask() || !query.aggregates.empty()) {
+    return ::testing::AssertionSuccess();
+  }
+  std::vector<std::pair<size_t, bool>> keys;  // (column, descending)
+  for (const OrderKey& key : query.order_by) {
+    auto col = rs.ColumnIndex(key.var.name);
+    if (!col.has_value()) return ::testing::AssertionSuccess();
+    keys.emplace_back(*col, key.descending);
+  }
+  for (size_t r = 1; r < rs.NumRows(); ++r) {
+    for (const auto& [col, desc] : keys) {
+      int cmp = OrderCompare(rs.At(r - 1, col), rs.At(r, col));
+      if (desc) cmp = -cmp;
+      if (cmp < 0) break;
+      if (cmp > 0) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " sorts before row " << r - 1 << ":\n"
+               << DumpResults(rs);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(EvalDifferentialPropertyTest, AllModesByteIdentical) {
   constexpr int kKgRounds = 2;
   constexpr int kCasesPerKg = 24;
-  // Shared pools sized so the querying thread plus the pool's workers add
-  // up to the advertised thread count (see Endpoint::set_intra_query_threads).
-  util::ThreadPool pool2(1), pool8(7);
-  const size_t kBatchSizes[] = {1, 7, 1024};
-  std::vector<Lane> lanes;
-  // Pure vectorized at every batch size (serial thread count).
-  for (size_t b : kBatchSizes) {
-    lanes.push_back(Lane{"vectorized", 1, nullptr, true, b});
-  }
-  // Pure sharded row path (the PR-5 baseline, re-checked against the
-  // extracted planner).
-  lanes.push_back(Lane{"sharded", 2, &pool2, false, 0});
-  lanes.push_back(Lane{"sharded", 8, &pool8, false, 0});
-  // Sharded + vectorized composition at every (threads, batch) point.
-  for (size_t b : kBatchSizes) {
-    lanes.push_back(Lane{"sharded+vectorized", 2, &pool2, true, b});
-    lanes.push_back(Lane{"sharded+vectorized", 8, &pool8, true, b});
-  }
-
   const size_t kRowCaps[] = {7, 50, 100000};
   util::Rng master(g_property_seed);
   for (int round = 0; round < kKgRounds; ++round) {
     uint64_t round_seed = master.Next();
     benchgen::BuiltKg kg = BuildKgForRound(round, round_seed);
     KgQueryGen gen(kg, round_seed);
-    LocalEndpoint ep("eval-diff", std::move(kg.graph));
+    // The KG build is deterministic in (round, seed), so both endpoints
+    // get an identical graph.
+    LocalEndpoint v1("eval-diff", std::move(kg.graph));
+    CompactEndpoint compact("eval-diff-compact",
+                            BuildKgForRound(round, round_seed).graph);
     for (int c = 0; c < kCasesPerKg; ++c) {
       Query query = gen.RandQuery();
-      EvalOptions serial;
-      serial.max_rows = kRowCaps[master.Next() % 3];
+      const size_t max_rows = kRowCaps[master.Next() % 3];
       SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " round " +
                    std::to_string(round) + " case " + std::to_string(c) +
-                   " max_rows " + std::to_string(serial.max_rows) +
+                   " max_rows " + std::to_string(max_rows) +
                    "\nquery:\n" + ToSparql(query));
-      auto reference = Evaluate(query, ep.store(), ep.text_index(), serial);
-      ASSERT_TRUE(reference.ok()) << reference.status();
-      for (const Lane& lane : lanes) {
-        auto got = Evaluate(query, ep.store(), ep.text_index(),
-                            LaneOptions(serial, lane));
-        ASSERT_TRUE(got.ok())
-            << lane.name << " threads=" << lane.threads
-            << " batch=" << lane.batch_size << ": " << got.status();
-        EXPECT_TRUE(SameResults(*reference, *got))
-            << lane.name << " threads=" << lane.threads
-            << " batch=" << lane.batch_size;
-      }
+      std::optional<ResultSet> got;
+      EvalAllLanes(query, v1, compact, max_rows, &got);
+      if (HasFatalFailure()) return;
+      EXPECT_TRUE(SortKeysNeverDecrease(query, *got));
     }
   }
 }
 
-// The max_rows cap is the subtle part of batch determinism: the serial
-// loop stops at the first max_rows extensions in (row, index) order, so a
-// vectorized kernel — and a sharded one slicing the same scan — must
-// truncate at exactly the same prefix even when the cap lands mid-batch.
-// Sweep caps through and around a full wildcard scan's result count with
-// batch sizes that straddle the cap.
+TEST(EvalDifferentialPropertyTest, AgreesWithReferenceEvaluator) {
+  constexpr int kKgRounds = 3;
+  constexpr int kCasesPerKg = 200;
+  util::Rng master(g_property_seed ^ 0x0AC1Eu);
+  size_t uncapped_compared = 0;
+  for (int round = 0; round < kKgRounds; ++round) {
+    uint64_t round_seed = master.Next();
+    benchgen::BuiltKg kg = BuildKgForRound(round, round_seed);
+    KgQueryGen gen(kg, round_seed);
+    LocalEndpoint v1("eval-ref", std::move(kg.graph));
+    CompactEndpoint compact("eval-ref-compact",
+                            BuildKgForRound(round, round_seed).graph);
+    for (int c = 0; c < kCasesPerKg; ++c) {
+      Query query = gen.RandQuery();
+      const size_t small_cap = kSmallCaps[master.Next() % 2];
+      SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " round " +
+                   std::to_string(round) + " case " + std::to_string(c) +
+                   "\nquery:\n" + ToSparql(query));
+      auto ref = reference::ReferenceEvaluate(
+          query, v1.store(), v1.text_index(),
+          EvalOptions{}.text_candidate_limit, kReferenceBudget);
+      if (!ref.ok()) {
+        // Too large for the oracle: production still runs against itself.
+        ASSERT_EQ(ref.status().code(), util::StatusCode::kOutOfRange)
+            << ref.status();
+      }
+      // Production runs truly uncapped only when the oracle showed the
+      // result is small; otherwise at the default cap.
+      const size_t large_cap = ref.ok() ? kUncapped : EvalOptions{}.max_rows;
+      for (size_t cap : {small_cap, large_cap}) {
+        std::optional<ResultSet> got;
+        EvalAllLanes(query, v1, compact, cap, &got);
+        if (HasFatalFailure()) return;
+        EXPECT_TRUE(SortKeysNeverDecrease(query, *got)) << "max_rows " << cap;
+        if (!ref.ok()) continue;
+        EXPECT_TRUE(MatchesReference(query, *got, *ref, cap != kUncapped))
+            << "max_rows " << cap;
+        if (cap == kUncapped) ++uncapped_compared;
+      }
+    }
+  }
+  // The oracle must have judged most queries exactly.
+  EXPECT_GE(uncapped_compared, size_t{kKgRounds * kCasesPerKg / 2});
+}
+
+// The max_rows cap is the subtle part of batch determinism: evaluation
+// stops at the first max_rows extensions in (row, index) order, so every
+// batch width — and the compact store — must truncate at exactly the same
+// prefix even when the cap lands mid-batch.  Sweep caps through and
+// around a full wildcard scan's result count.
 TEST(EvalDifferentialPropertyTest, RowCapTruncatesIdenticallyInEveryMode) {
   benchgen::BuiltKg kg =
       benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05, 77);
-  LocalEndpoint ep("eval-diff-cap", std::move(kg.graph));
-  util::ThreadPool pool(6);
+  LocalEndpoint v1("eval-diff-cap", std::move(kg.graph));
+  CompactEndpoint compact(
+      "eval-diff-cap-compact",
+      benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05, 77).graph);
 
   Query query;
   query.form = Query::Form::kSelect;
@@ -322,51 +610,34 @@ TEST(EvalDifferentialPropertyTest, RowCapTruncatesIdenticallyInEveryMode) {
   query.where.triples.push_back(TriplePattern{
       TermOrVar{Var{"o"}}, TermOrVar{Var{"q"}}, TermOrVar{Var{"t"}}});
 
-  const size_t total = ep.store().size();
+  const size_t total = v1.store().size();
   for (size_t cap : {size_t{1}, size_t{2}, size_t{17}, size_t{256},
                      total - 1, total, total + 1}) {
-    EvalOptions serial;
-    serial.max_rows = cap;
-    auto reference = Evaluate(query, ep.store(), ep.text_index(), serial);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-      Lane vec{"vectorized", 1, nullptr, true, batch};
-      auto got_vec = Evaluate(query, ep.store(), ep.text_index(),
-                              LaneOptions(serial, vec));
-      ASSERT_TRUE(got_vec.ok()) << got_vec.status();
-      EXPECT_TRUE(SameResults(*reference, *got_vec))
-          << "cap=" << cap << " batch=" << batch;
-
-      Lane both{"sharded+vectorized", 7, &pool, true, batch};
-      auto got_both = Evaluate(query, ep.store(), ep.text_index(),
-                               LaneOptions(serial, both));
-      ASSERT_TRUE(got_both.ok()) << got_both.status();
-      EXPECT_TRUE(SameResults(*reference, *got_both))
-          << "cap=" << cap << " batch=" << batch << " threads=7";
-    }
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    std::optional<ResultSet> got;
+    EvalAllLanes(query, v1, compact, cap, &got);
+    if (HasFatalFailure()) return;
+    EXPECT_LE(got->NumRows(), cap);
   }
 }
 
 // Answer-cache runs: the cache keys on the canonical AST, which never
-// looks at EvalOptions, so a cache populated by the serial path must serve
-// byte-identical answers to every other mode (and vice versa).  Store the
-// serial result under the canonical key / canonical column names, then
-// check the positional hit translation equals each mode's own evaluation.
+// looks at EvalOptions or the store backend, so a cached result must
+// equal every lane's own evaluation.  Store the default lane's result
+// under the canonical key / canonical column names, then check the
+// positional hit translation equals each lane's evaluation.
 TEST(EvalDifferentialPropertyTest, AnswerCacheHitsAreModeIndependent) {
   util::Rng master(g_property_seed ^ 0xCACEu);
-  benchgen::BuiltKg kg = benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia,
-                                                  0.05, master.Next());
+  const uint64_t kg_seed = master.Next();
+  benchgen::BuiltKg kg =
+      benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05, kg_seed);
   KgQueryGen gen(kg, master.Next());
-  LocalEndpoint ep("eval-diff-cache", std::move(kg.graph));
-  util::ThreadPool pool(7);
+  LocalEndpoint v1("eval-diff-cache", std::move(kg.graph));
+  CompactEndpoint compact(
+      "eval-diff-cache-compact",
+      benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05, kg_seed)
+          .graph);
   core::AnswerCache cache(256);
-
-  const Lane kLanes[] = {
-      {"vectorized", 1, nullptr, true, 1},
-      {"vectorized", 1, nullptr, true, 1024},
-      {"sharded", 8, &pool, false, 0},
-      {"sharded+vectorized", 8, &pool, true, 7},
-  };
 
   int cached_cases = 0;
   for (int c = 0; c < 40 && cached_cases < 12; ++c) {
@@ -377,31 +648,37 @@ TEST(EvalDifferentialPropertyTest, AnswerCacheHitsAreModeIndependent) {
     SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " case " +
                  std::to_string(c) + "\nquery:\n" + ToSparql(query));
 
-    EvalOptions serial;
-    auto reference = Evaluate(query, ep.store(), ep.text_index(), serial);
-    ASSERT_TRUE(reference.ok()) << reference.status();
+    auto first = Evaluate(query, v1.store(), v1.text_index(), EvalOptions{});
+    ASSERT_TRUE(first.ok()) << first.status();
     // Engine discipline: store under canonical column names.
-    cache.Put(form.key, ep.cache_identity(),
+    cache.Put(form.key, v1.cache_identity(),
               std::make_shared<const ResultSet>(
-                  reference->WithColumns(form.projection_canonical)));
+                  first->WithColumns(form.projection_canonical)));
 
-    for (const Lane& lane : kLanes) {
-      auto direct = Evaluate(query, ep.store(), ep.text_index(),
-                             LaneOptions(serial, lane));
-      ASSERT_TRUE(direct.ok()) << lane.name << ": " << direct.status();
-      // The canonical key is computed from the AST alone, so every mode
-      // looks up the same entry...
-      std::shared_ptr<const ResultSet> hit =
-          cache.Get(form.key, ep.cache_identity());
-      ASSERT_NE(hit, nullptr) << lane.name;
-      // ...and the serial-populated value must match the mode's own
-      // evaluation byte for byte after positional column translation.
-      ResultSet translated = hit->WithColumns(form.projection_original);
-      EXPECT_TRUE(SameResults(translated, *direct)) << lane.name;
+    for (size_t batch : kBatchSizes) {
+      EvalOptions opts;
+      opts.batch_size = batch;
+      for (bool on_compact : {false, true}) {
+        auto direct =
+            on_compact
+                ? Evaluate(query, compact.store(), compact.text_index(), opts)
+                : Evaluate(query, v1.store(), v1.text_index(), opts);
+        ASSERT_TRUE(direct.ok()) << direct.status();
+        // The canonical key is computed from the AST alone, so every lane
+        // looks up the same entry...
+        std::shared_ptr<const ResultSet> hit =
+            cache.Get(form.key, v1.cache_identity());
+        ASSERT_NE(hit, nullptr);
+        // ...and the cached value must match the lane's own evaluation
+        // byte for byte after positional column translation.
+        ResultSet translated = hit->WithColumns(form.projection_original);
+        EXPECT_TRUE(SameResults(translated, *direct))
+            << (on_compact ? "compact" : "v1") << " batch " << batch;
+      }
     }
   }
   EXPECT_GE(cached_cases, 4) << "generator produced too few cacheable queries";
-  EXPECT_GE(cache.stats().hits, static_cast<size_t>(cached_cases) * 4);
+  EXPECT_GE(cache.stats().hits, static_cast<size_t>(cached_cases) * 6);
 }
 
 }  // namespace

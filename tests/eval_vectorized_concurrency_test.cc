@@ -1,11 +1,11 @@
-// Concurrency battery for vectorized evaluation (run under TSan in CI):
-// many client threads push columnar-batch queries through one endpoint —
-// alone, composed with intra-query sharding, under deadline storms, and
-// racing live AddNTriples updates — while per-batch cancellation and the
-// answer cache's generation discipline are exercised.  Every successful
-// concurrent result must equal the serial reference, and a deadline that
-// expires mid-scan must be observed at a batch boundary (the PR's
-// mid-batch cancellation fix), never by returning a truncated "success".
+// Concurrency battery for columnar evaluation (run under TSan in CI):
+// many client threads push queries through one endpoint — alone, under
+// deadline storms, and racing live AddNTriples updates — while per-batch
+// cancellation and the answer cache's generation discipline are
+// exercised.  Every successful concurrent result must equal the
+// single-threaded reference evaluation, and a deadline that expires
+// mid-scan must be observed at a batch boundary, never by returning a
+// truncated "success".
 
 #include <gtest/gtest.h>
 
@@ -35,8 +35,8 @@ bool SameResults(const ResultSet& a, const ResultSet& b) {
          a.columns() == b.columns() && a.rows() == b.rows();
 }
 
-// Queries with wide scans (so batches and shards engage) and distinct
-// shapes (so cross-wired results would be detected).
+// Queries with wide scans (so batches engage) and distinct shapes (so
+// cross-wired results would be detected).
 std::vector<std::string> BatchHappyQueries() {
   return {
       "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 50",
@@ -51,12 +51,8 @@ TEST(EvalVectorizedConcurrencyTest, ConcurrentVectorizedQueriesMatchSerial) {
   benchgen::BuiltKg kg =
       benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.05, 4321);
   LocalEndpoint ep("vec-conc", std::move(kg.graph));
-  // Configuration phase (before any query): vectorized batches of an odd
-  // width, composed with three-way sharding forced onto the tiny KG.
-  ep.set_vectorized_eval(true, 7);
-  ep.set_intra_query_threads(3);
-  ep.mutable_eval_options().min_shard_work = 0;
-  ep.mutable_eval_options().min_morsel_triples = 1;
+  // Configuration phase (before any query): batches of an odd width.
+  ep.mutable_eval_options().batch_size = 7;
 
   const std::vector<std::string> queries = BatchHappyQueries();
   std::vector<ResultSet> reference;
@@ -98,10 +94,8 @@ TEST(EvalVectorizedConcurrencyTest, DeadlineStormNeverCorruptsResults) {
   benchgen::BuiltKg kg =
       benchgen::BuildGeneralKg(benchgen::KgFlavor::kYago, 0.05, 86);
   LocalEndpoint ep("vec-storm", std::move(kg.graph));
-  ep.set_vectorized_eval(true, 1);  // Batch boundary after every work unit.
-  ep.set_intra_query_threads(3);
-  ep.mutable_eval_options().min_shard_work = 0;
-  ep.mutable_eval_options().min_morsel_triples = 1;
+  // Batch boundary after every work unit.
+  ep.mutable_eval_options().batch_size = 1;
   // Slow every batch so short deadlines reliably land mid-scan.
   ep.mutable_eval_options().testing_batch_delay_us = 20;
 
@@ -151,10 +145,10 @@ TEST(EvalVectorizedConcurrencyTest, DeadlineStormNeverCorruptsResults) {
   EXPECT_EQ(wrong_errors.load(), 0u);
 }
 
-// Satellite regression for the mid-scan cancellation fix: with per-batch
-// injected latency, a short deadline must be observed at a batch boundary
-// inside the vectorized kernels — surfacing as DeadlineExceeded after the
-// exchange was issued — and counted as a cancellation.
+// Mid-scan cancellation: with per-batch injected latency, a short deadline
+// must be observed at a batch boundary inside the join kernels —
+// surfacing as DeadlineExceeded after the exchange was issued — and
+// counted as a cancellation.
 TEST(EvalVectorizedConcurrencyTest, MidBatchDeadlineCancellationIsObserved) {
   rdf::Graph g;
   for (int i = 0; i < 40; ++i) {
@@ -164,7 +158,7 @@ TEST(EvalVectorizedConcurrencyTest, MidBatchDeadlineCancellationIsObserved) {
     }
   }
   LocalEndpoint ep("vec-deadline", std::move(g));
-  ep.set_vectorized_eval(true, 1);
+  ep.mutable_eval_options().batch_size = 1;
   // Every batch boundary sleeps, so a wildcard join crawls: the 2ms
   // deadline can only be honoured by the per-batch poll.
   ep.mutable_eval_options().testing_batch_delay_us = 200;
@@ -186,19 +180,20 @@ TEST(EvalVectorizedConcurrencyTest, MidBatchDeadlineCancellationIsObserved) {
     }
   }
   EXPECT_TRUE(cancelled_mid_batch)
-      << "no run observed the deadline at a vectorized batch boundary";
+      << "no run observed the deadline at a batch boundary";
   EXPECT_GT(ep.cancelled_count(), 0u);
 
-  // The same query completes fine without a deadline (the injected batch
-  // latency slows it but nothing cancels it), and matches the row path.
+  // The same query completes fine without a deadline, and matches an
+  // evaluation at the default batch width.
   ep.mutable_eval_options().testing_batch_delay_us = 0;
   auto parsed = ParseQuery(query);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto serial = Evaluate(*parsed, ep.store(), ep.text_index(), EvalOptions{});
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  auto vectorized = ep.Query(query);
-  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
-  EXPECT_TRUE(SameResults(*serial, *vectorized));
+  auto reference =
+      Evaluate(*parsed, ep.store(), ep.text_index(), EvalOptions{});
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto got = ep.Query(query);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(SameResults(*reference, *got));
 }
 
 TEST(EvalVectorizedConcurrencyTest, RacingUpdatesNeverPolluteAnswerCache) {
@@ -208,7 +203,7 @@ TEST(EvalVectorizedConcurrencyTest, RacingUpdatesNeverPolluteAnswerCache) {
               "http://x/e" + std::to_string((i + 1) % 50));
   }
   LocalEndpoint ep("vec-update", std::move(g));
-  ep.set_vectorized_eval(true, 7);
+  ep.mutable_eval_options().batch_size = 7;
   core::AnswerCache cache(64);
 
   const std::string query_text =

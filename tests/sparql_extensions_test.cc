@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "rdf/graph.h"
 #include "sparql/endpoint.h"
 #include "sparql/parser.h"
@@ -83,6 +87,52 @@ TEST_F(ExtensionsTest, NumericOrderingIsNumericNotLexical) {
       "LIMIT 1");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->At(0, 0)->value, "2962");
+}
+
+// ORDER BY over a column mixing numbers and other strings is one total
+// order: numeric literals by value first, then everything else by lexical
+// form.  ("Nan" parses as a floating-point NaN, which must not count as a
+// number: it compares unequal to everything.)
+TEST(OrderByTest, MixedColumnSortsNumbersFirstThenLexically) {
+  Graph g;
+  for (const char* v : {"5x", "10", "Nan", "9", "abc", "100"}) {
+    g.AddIri("http://x/s", "http://x/v", StringLiteral(v));
+  }
+  LocalEndpoint endpoint("mixed", std::move(g));
+  for (const std::string key : {"?v", "DESC(?v)"}) {
+    SCOPED_TRACE(key);
+    auto rs = endpoint.Query(
+        "SELECT ?v WHERE { <http://x/s> <http://x/v> ?v } ORDER BY " + key);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    std::vector<std::string> got;
+    for (size_t r = 0; r < rs->NumRows(); ++r) {
+      got.push_back(rs->At(r, 0)->value);
+    }
+    std::vector<std::string> want = {"9", "10", "100", "5x", "Nan", "abc"};
+    if (key != "?v") std::reverse(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
+}
+
+// A variable repeated within one triple pattern binds one term: ?a ?p ?a
+// matches only triples whose subject equals their object.
+TEST(RepeatedVariableTest, PatternMatchesOnlyEqualComponents) {
+  Graph g;
+  g.AddIris("http://x/a", "http://x/p", "http://x/a");
+  g.AddIris("http://x/a", "http://x/p", "http://x/b");
+  g.AddIris("http://x/b", "http://x/q", "http://x/c");
+  LocalEndpoint endpoint("loops", std::move(g));
+  auto rs = endpoint.Query("SELECT ?a ?p WHERE { ?a ?p ?a }");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->NumRows(), 1u);
+  EXPECT_EQ(rs->At(0, 0)->value, "http://x/a");
+  EXPECT_EQ(rs->At(0, 1)->value, "http://x/p");
+  // Bound first by another pattern, the repeated variable still binds one
+  // term.
+  auto joined = endpoint.Query(
+      "SELECT ?a WHERE { ?a <http://x/p> ?b . ?a ?p ?a }");
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->NumRows(), 2u);
 }
 
 // ---- Aggregates ----
