@@ -24,6 +24,8 @@
 #include <optional>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace kgqan::serve {
 
 template <typename T>
@@ -31,8 +33,10 @@ class BoundedQueue {
  public:
   enum class PushResult { kOk, kFull, kClosed };
 
-  explicit BoundedQueue(size_t capacity)
-      : capacity_(capacity > 0 ? capacity : 1) {}
+  // `depth`, when set, follows size() exactly: it is updated under the
+  // queue's lock, so it never reads above capacity().
+  explicit BoundedQueue(size_t capacity, obs::Gauge* depth = nullptr)
+      : capacity_(capacity > 0 ? capacity : 1), depth_(depth) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -44,6 +48,7 @@ class BoundedQueue {
       if (closed_) return PushResult::kClosed;
       if (items_.size() >= capacity_) return PushResult::kFull;
       items_.push_back(std::move(item));
+      if (depth_ != nullptr) depth_->Add(1);
     }
     not_empty_.notify_one();
     return PushResult::kOk;
@@ -57,6 +62,7 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
+    if (depth_ != nullptr) depth_->Sub(1);
     return item;
   }
 
@@ -66,6 +72,7 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
+    if (depth_ != nullptr) depth_->Sub(1);
     return item;
   }
 
@@ -92,6 +99,7 @@ class BoundedQueue {
 
  private:
   const size_t capacity_;
+  obs::Gauge* const depth_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

@@ -30,9 +30,9 @@ QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
     : engines_(std::move(engines)),
       endpoint_(endpoint),
       options_(options),
-      queue_(options.queue_capacity) {
+      queue_(options.queue_capacity,
+             &obs::MetricsRegistry::Global().GetGauge("serve.queue_depth")) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  metric_queue_depth_ = &registry.GetGauge("serve.queue_depth");
   metric_admitted_ = &registry.GetCounter("serve.admitted");
   metric_rejected_overloaded_ =
       &registry.GetCounter("serve.rejected.overloaded");
@@ -94,7 +94,6 @@ util::StatusOr<std::future<QaServerResponse>> QaServer::Submit(
     case BoundedQueue<Request>::PushResult::kOk:
       admitted_.fetch_add(1, std::memory_order_relaxed);
       metric_admitted_->Add(1);
-      metric_queue_depth_->Add(1);
       return future;
     case BoundedQueue<Request>::PushResult::kFull:
       FinishOne();
@@ -121,7 +120,6 @@ void QaServer::WorkerLoop(size_t worker_index) {
   const core::KgqanEngine* engine =
       engines_[worker_index % engines_.size()];
   while (std::optional<Request> request = queue_.Pop()) {
-    metric_queue_depth_->Sub(1);
     QaServerResponse response;
     response.question = request->question;
     response.queue_ms = request->admitted.ElapsedMillis();

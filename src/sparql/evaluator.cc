@@ -214,7 +214,8 @@ struct RepeatedVars {
 //
 // Each join step classifies the pattern components against the input
 // columns and picks one of three kernels, every one of which emits in
-// (input row, match index) order and stops at max_rows:
+// (input row, match index) order and stops at its row cap (max_rows, or
+// the top-level LIMIT row budget; see TopLevelStepCap):
 //  * broadcast — no varying component: all rows resolve the pattern
 //    identically, so the matches are scanned once and cross-joined.
 //  * hash — build over the constants-only range keyed by the varying
@@ -247,8 +248,9 @@ class Evaluator {
 
     Chunk chunk(slots_.size());
     chunk.AppendNullRow();
-    KGQAN_ASSIGN_OR_RETURN(chunk,
-                           EvalGroupChunked(query.where, std::move(chunk)));
+    KGQAN_ASSIGN_OR_RETURN(
+        chunk, EvalGroupChunked(query.where, std::move(chunk),
+                                TopLevelStepCap(query)));
     if (query.form == Query::Form::kAsk) {
       return ResultSet::Ask(chunk.rows() > 0);
     }
@@ -264,6 +266,26 @@ class Evaluator {
   size_t reordered_plans() const { return reordered_plans_; }
 
  private:
+  // The row cap of the top-level group's join steps.  When the result is
+  // the first offset + limit rows of that group in emission order — no
+  // DISTINCT, ORDER BY or aggregate merges or reorders them, and the
+  // group is one join step with nothing after it — the step stops there
+  // (a LIMIT row budget): exact, because every kernel emits in input-row
+  // order.  The text/VALUES overlay before the step stays uncapped, since
+  // a candidate may join no triple.  Every other group runs to max_rows.
+  size_t TopLevelStepCap(const Query& query) const {
+    const GroupGraphPattern& g = query.where;
+    if (query.form == Query::Form::kAsk || query.limit == 0 ||
+        query.distinct || !query.order_by.empty() ||
+        !query.aggregates.empty() || g.triples.size() != 1 ||
+        !g.unions.empty() || !g.optionals.empty() || !g.filters.empty()) {
+      return options_.max_rows;
+    }
+    const size_t budget = query.offset + query.limit;
+    if (budget < query.offset) return options_.max_rows;  // Overflowed.
+    return std::min(options_.max_rows, budget);
+  }
+
   uint64_t Compile(const TermOrVar& tv, bool* dead) {
     if (IsVar(tv)) {
       return CompiledTriple::kVarFlag |
@@ -444,8 +466,14 @@ class Evaluator {
     return next;
   }
 
+  // Evaluates `group` against the rows of `chunk`; its join steps stop at
+  // `step_cap` rows (max_rows, or the top-level LIMIT row budget).  Sets
+  // capped_ when some stage reached max_rows, i.e. may have lost rows.
   StatusOr<Chunk> EvalGroupChunked(const GroupGraphPattern& group,
-                                   Chunk chunk) {
+                                   Chunk chunk, size_t step_cap) {
+    auto note_cap = [&] {
+      if (chunk.rows() >= options_.max_rows) capped_ = true;
+    };
     // 1. Text patterns first: they seed candidate sets in relevance order.
     for (const TextPattern& tp : group.text_patterns) {
       KGQAN_ASSIGN_OR_RETURN(text::ContainsQuery cq,
@@ -453,6 +481,7 @@ class Evaluator {
       std::vector<TermId> candidates =
           text_index_.MatchLiterals(cq, options_.text_candidate_limit);
       chunk = OverlayBindChunk(chunk, slots_.SlotOf(tp.var.name), candidates);
+      note_cap();
     }
     // 1b. Inline VALUES bindings.  Terms that do not occur in the KG are
     // interned into a query-local overlay dictionary: per SPARQL semantics
@@ -463,6 +492,7 @@ class Evaluator {
       ids.reserve(iv.values.size());
       for (const Term& t : iv.values) ids.push_back(InternValue(t));
       chunk = OverlayBindChunk(chunk, slots_.SlotOf(iv.var.name), ids);
+      note_cap();
     }
 
     // 2. Triple patterns, ordered by the cardinality planner (greedy
@@ -482,10 +512,11 @@ class Evaluator {
       const CompiledTriple& cp = patterns[step.pattern];
       Chunk next(chunk.num_slots());
       if (!cp.dead) {
-        KGQAN_ASSIGN_OR_RETURN(next,
-                               VectorizedJoinStep(cp, step, order, chunk));
+        KGQAN_ASSIGN_OR_RETURN(
+            next, VectorizedJoinStep(cp, step, order, chunk, step_cap));
       }
       chunk = std::move(next);
+      note_cap();
       ++order;
       if (chunk.rows() == 0) break;
     }
@@ -495,30 +526,40 @@ class Evaluator {
     for (const auto& branches : group.unions) {
       Chunk next(chunk.num_slots());
       for (const GroupGraphPattern& branch : branches) {
-        auto matched = EvalGroupChunked(branch, chunk);
+        auto matched = EvalGroupChunked(branch, chunk, options_.max_rows);
         if (!matched.ok()) return matched.status();
         next.AppendChunkCapped(*matched, options_.max_rows);
         if (next.rows() >= options_.max_rows) break;
       }
       chunk = std::move(next);
+      note_cap();
     }
 
-    // 4. OPTIONAL groups: left join, evaluated per input row.
+    // 4. OPTIONAL groups: left join, evaluated per input row.  A row whose
+    // group comes back empty stays unextended, unless the group's
+    // evaluation reached max_rows: then it may have had matches, the
+    // unextended row may not be a solution, and it is dropped, so a capped
+    // result is still a sub-multiset of the solutions.
     for (const GroupGraphPattern& opt : group.optionals) {
       Chunk next(chunk.num_slots());
       for (size_t r = 0; r < chunk.rows(); ++r) {
         Chunk seed(chunk.num_slots());
         seed.AppendRow(chunk, r);
-        auto matched = EvalGroupChunked(opt, std::move(seed));
+        const bool capped_before = capped_;
+        capped_ = false;
+        auto matched =
+            EvalGroupChunked(opt, std::move(seed), options_.max_rows);
         if (!matched.ok()) return matched.status();
-        if (matched->rows() == 0) {
-          next.AppendRow(chunk, r);
-        } else {
+        if (matched->rows() > 0) {
           next.AppendChunkCapped(*matched, options_.max_rows);
+        } else if (!capped_) {
+          next.AppendRow(chunk, r);
         }
+        capped_ = capped_ || capped_before;
         if (next.rows() >= options_.max_rows) break;
       }
       chunk = std::move(next);
+      note_cap();
     }
 
     // 5. Filters.
@@ -536,7 +577,7 @@ class Evaluator {
 
   StatusOr<Chunk> VectorizedJoinStep(const CompiledTriple& cp,
                                      const PlanStep& step, size_t order,
-                                     const Chunk& in) {
+                                     const Chunk& in, size_t cap) {
     Chunk out(in.num_slots());
     if (cp.dead || in.rows() == 0) return out;
     // Analyze-only span and timing: an unanalyzed step reads no clock and
@@ -564,7 +605,7 @@ class Evaluator {
     Status status;
     if (!mixed && varying == 0) {
       kernel = "broadcast";
-      status = BroadcastKernel(cp, repeated, in, &out);
+      status = BroadcastKernel(cp, repeated, in, cap, &out);
     } else {
       bool hashed = false;
       // Hash eligibility: every key fits one uint64 (≤ 2 varying 32-bit
@@ -583,11 +624,12 @@ class Evaluator {
         // probe count; past that, per-row probing is strictly cheaper.
         if (range.size() <= 4 * in.rows()) {
           kernel = "hash";
-          status = HashKernel(cp, repeated, in, range, ks, kp, ko, &out);
+          status =
+              HashKernel(cp, repeated, in, range, ks, kp, ko, cap, &out);
           hashed = true;
         }
       }
-      if (!hashed) status = ProbeKernel(cp, repeated, in, &out);
+      if (!hashed) status = ProbeKernel(cp, repeated, in, cap, &out);
     }
     KGQAN_RETURN_IF_ERROR(status);
     if (span.has_value()) {
@@ -602,14 +644,13 @@ class Evaluator {
   // lands here), so the matches are scanned exactly once and cross-joined
   // row-major.
   Status BroadcastKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
-                         const Chunk& in, Chunk* out) {
+                         const Chunk& in, size_t cap, Chunk* out) {
     auto comp = [](uint64_t c) {
       return CompiledTriple::IsSlot(c) ? kNullTermId : static_cast<TermId>(c);
     };
     const TermId s = comp(cp.s);
     const TermId p = comp(cp.p);
     const TermId o = comp(cp.o);
-    const size_t cap = options_.max_rows;
     typename StoreT::Range range = store_.Locate(s, p, o);
     std::vector<rdf::Triple> matches;
     matches.reserve(std::min(range.size(), cap));
@@ -625,7 +666,7 @@ class Evaluator {
     if (expired) return Expired();
 
     // Row-major cross join: row r first, then match order, capped at
-    // max_rows.
+    // `cap`.
     out->Reserve(std::min(cap, in.rows() * matches.size()));
     for (size_t r = 0; r < in.rows(); ++r) {
       for (const rdf::Triple& t : matches) {
@@ -644,7 +685,8 @@ class Evaluator {
   // component except the (at most one) wildcard.
   Status HashKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
                     const Chunk& in, const typename StoreT::Range& build_range,
-                    CompKind ks, CompKind kp, CompKind ko, Chunk* out) {
+                    CompKind ks, CompKind kp, CompKind ko, size_t cap,
+                    Chunk* out) {
     auto build_comp = [](uint64_t c, CompKind k) {
       return k == CompKind::kConst ? static_cast<TermId>(c) : kNullTermId;
     };
@@ -668,7 +710,6 @@ class Evaluator {
     });
     if (expired) return Expired();
 
-    const size_t cap = options_.max_rows;
     for (size_t r = 0; r < in.rows(); ++r) {
       uint64_t key = 0;
       if (ks == CompKind::kVarying) {
@@ -694,8 +735,7 @@ class Evaluator {
   // The per-row fallback: Locate + scan for each input row, emitting into
   // columns.
   Status ProbeKernel(const CompiledTriple& cp, const RepeatedVars& repeated,
-                     const Chunk& in, Chunk* out) {
-    const size_t cap = options_.max_rows;
+                     const Chunk& in, size_t cap, Chunk* out) {
     for (size_t r = 0; r < in.rows(); ++r) {
       bool expired = false;
       store_.Match(Resolve(cp.s, in, r), Resolve(cp.p, in, r),
@@ -1079,6 +1119,9 @@ class Evaluator {
   size_t batches_ = 0;
   size_t planned_groups_ = 0;
   size_t reordered_plans_ = 0;
+  // Set when a stage reached max_rows and so may have dropped rows; the
+  // OPTIONAL left join reads it per row (see EvalGroupChunked).
+  bool capped_ = false;
   // EXPLAIN ANALYZE: the calling thread's operator-stats sink (owned by
   // the engine) and the once-per-query analyze decision.
   EvalProfile* profile_ = nullptr;

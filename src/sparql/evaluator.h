@@ -10,10 +10,13 @@
 // Solutions flow as columnar batches: one term-id vector per variable
 // slot.  Each join step picks a broadcast, hash or probe kernel from the
 // input columns; all three emit rows in (input row, match) order and stop
-// at EvalOptions::max_rows.  Every batch_size units of work is a batch
-// boundary where the request deadline is polled, so cancellation bites
-// inside a join step.  Results do not depend on batch_size or on the
-// store backend (v1 or compact).
+// at EvalOptions::max_rows.  A SELECT whose result is a prefix of one
+// join step's rows (LIMIT over a single-pattern group with no DISTINCT,
+// ORDER BY, aggregate, UNION, OPTIONAL or FILTER) stops that step at
+// OFFSET + LIMIT rows instead, so a linking probe scans what it returns.
+// Every batch_size units of work is a batch boundary where the request
+// deadline is polled, so cancellation bites inside a join step.  Results
+// do not depend on batch_size or on the store backend (v1 or compact).
 
 #ifndef KGQAN_SPARQL_EVALUATOR_H_
 #define KGQAN_SPARQL_EVALUATOR_H_
@@ -36,7 +39,10 @@ namespace kgqan::sparql {
 
 struct EvalOptions {
   // Hard cap on intermediate/solution rows, like the result caps of public
-  // SPARQL endpoints.  Evaluation stops (successfully) when reached.
+  // SPARQL endpoints.  Evaluation stops (successfully) when reached; the
+  // rows returned are then a sub-multiset of the query's solutions (an
+  // OPTIONAL group cut short drops its row rather than leaving it
+  // unextended).
   size_t max_rows = 100000;
   // Cap on candidates pulled from the text index per bif:contains pattern.
   size_t text_candidate_limit = 4096;

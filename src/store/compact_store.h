@@ -17,7 +17,7 @@
 //
 // Entry indices are the public coordinate system: CompactScanRange counts
 // compressed entries exactly like ScanRange counts triples, so
-// Locate/Partition/MatchRange/EstimateMatches keep their v1 semantics and
+// Locate/MatchRange/EstimateMatches keep their v1 semantics and
 // the evaluator and the planner's cardinality estimates run unchanged.  Locate is O(log runs + log blocks + kBlock):
 // binary search on `keys`, then on block-first entries (each O(1)-decodable
 // at a known byte offset), then at most one block of linear decode.
@@ -67,9 +67,9 @@ struct CompactScanRange {
   size_t overlay_lo = 0;  // overlay indices [overlay_lo, overlay_hi)
   size_t overlay_hi = 0;
   // Decode hint, not part of the logical range: a run with
-  // offsets[run_hint] <= lo (ideally lo's run).  Locate and Partition fill
-  // it so MatchRange lands its cursor without a binary search over all
-  // runs; SIZE_MAX means unknown.
+  // offsets[run_hint] <= lo (ideally lo's run).  Locate fills it so
+  // MatchRange lands its cursor without a binary search over all runs;
+  // SIZE_MAX means unknown.
   size_t run_hint = SIZE_MAX;
 
   size_t size() const { return (hi - lo) + (overlay_hi - overlay_lo); }
@@ -118,10 +118,10 @@ class CompactStore {
     MatchRange(Locate(s, p, o), s, p, o, std::forward<Fn>(fn));
   }
 
-  // Match restricted to `range`: an ordered two-cursor merge of the
-  // decoded base run and the overlay slice, with the same residual
-  // filtering as v1.  Scanning a Partition()'s slices back to back visits
-  // exactly the Match() sequence.
+  // Match restricted to `range`, a Locate() result for the same pattern:
+  // an ordered two-cursor merge of the decoded base run and the overlay
+  // slice, with the same residual filtering as v1, visiting exactly the
+  // Match() sequence.
   template <typename Fn>
   void MatchRange(const CompactScanRange& range, TermId s, TermId p, TermId o,
                   Fn&& fn) const {
@@ -214,14 +214,6 @@ class CompactStore {
   // Chooses the same permutation v1 would and returns the exact matching
   // range: base entry bounds plus the overlay slice.
   CompactScanRange Locate(TermId s, TermId p, TermId o) const;
-
-  // Splits `range` into at most `max_parts` sub-ranges that cover it
-  // exactly and in merged key order: the base run is split integer-wise
-  // (v1's discipline) and the overlay is cut at each base boundary's key,
-  // so concatenating the slices' MatchRange outputs reproduces the full
-  // merge.
-  std::vector<CompactScanRange> Partition(const CompactScanRange& range,
-                                          size_t max_parts) const;
 
   std::vector<Triple> MatchAll(TermId s, TermId p, TermId o,
                                size_t limit = SIZE_MAX) const;

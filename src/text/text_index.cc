@@ -84,65 +84,125 @@ void TextIndex::SortPostings() {
   }
 }
 
+const std::vector<rdf::TermId>* TextIndex::Postings(
+    const std::string& word) const {
+  auto it = postings_.find(word);
+  return it == postings_.end() ? nullptr : &it->second;
+}
+
 std::vector<rdf::TermId> TextIndex::MatchLiterals(const ContainsQuery& query,
                                                   size_t limit) const {
-  // score = number of distinct query words contained in the literal.
-  std::unordered_map<rdf::TermId, uint32_t> word_hits;
-  std::unordered_map<rdf::TermId, bool> satisfies;
+  if (limit == 0) return {};
 
-  // Collect all distinct query words for scoring.
+  // One cursor per distinct query word that occurs in the index.  `has`
+  // is the cursor's bit of the current literal's word mask; `alone` marks
+  // a word that forms an OR-group by itself, so containing it suffices.
+  struct Cursor {
+    const rdf::TermId* at = nullptr;
+    const rdf::TermId* end = nullptr;
+    bool alone = false;
+    bool has = false;
+  };
   std::vector<std::string> words;
   for (const auto& group : query.or_groups) {
-    for (const auto& w : group) words.push_back(w);
+    for (const std::string& w : group) words.push_back(w);
   }
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
-
-  auto posting = [&](const std::string& w) -> const std::vector<rdf::TermId>* {
-    auto it = postings_.find(w);
-    return it == postings_.end() ? nullptr : &it->second;
-  };
-
-  for (const std::string& w : words) {
-    if (const auto* ids = posting(w)) {
-      for (rdf::TermId id : *ids) ++word_hits[id];
+  std::vector<std::string> present;
+  std::vector<Cursor> cursors;
+  for (std::string& w : words) {
+    if (const auto* ids = Postings(w)) {
+      present.push_back(std::move(w));
+      cursors.push_back(Cursor{ids->data(), ids->data() + ids->size()});
     }
   }
 
-  auto literal_has = [&](rdf::TermId id, const std::string& w) {
-    const auto* ids = posting(w);
-    return ids != nullptr && std::binary_search(ids->begin(), ids->end(), id);
-  };
-
-  std::vector<std::pair<uint32_t, rdf::TermId>> ranked;
-  ranked.reserve(word_hits.size());
-  for (const auto& [id, hits] : word_hits) {
-    bool ok = false;
-    for (const auto& group : query.or_groups) {
-      bool all = true;
-      for (const std::string& w : group) {
-        if (!literal_has(id, w)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) {
-        ok = true;
+  // OR-groups as cursor indices.  A group naming a word absent from the
+  // index can never be satisfied and is dropped; its present words still
+  // count towards the hits of the literals that contain them.
+  std::vector<std::vector<size_t>> and_groups;
+  for (const auto& group : query.or_groups) {
+    std::vector<size_t> members;
+    for (const std::string& w : group) {
+      auto it = std::lower_bound(present.begin(), present.end(), w);
+      if (it == present.end() || *it != w) {
+        members.clear();
         break;
       }
+      members.push_back(static_cast<size_t>(it - present.begin()));
     }
-    if (ok) ranked.emplace_back(hits, id);
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    if (members.size() == 1) {
+      cursors[members[0]].alone = true;
+    } else if (!members.empty()) {
+      and_groups.push_back(std::move(members));
+    }
   }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;  // More hits first.
-    return a.second < b.second;                        // Stable tiebreak.
-  });
-  if (ranked.size() > limit) ranked.resize(limit);
+
+  // kept[h]: ascending ids with h hits among the best `limit` literals
+  // merged so far.  Ids arrive in ascending order, so a new id ranks below
+  // every kept id with as many hits: it enters only while there is room or
+  // by evicting the last id of the lowest non-empty bucket, `floor`, which
+  // never decreases once the buckets hold `limit` ids.
+  const size_t max_hits = cursors.size();
+  std::vector<std::vector<rdf::TermId>> kept(max_hits + 1);
+  size_t num_kept = 0;
+  size_t floor = 1;
+
+  // The k-way merge: each iteration consumes one id from every cursor
+  // positioned on it and finds the next smallest head.
+  bool more = false;
+  rdf::TermId id = 0;
+  for (const Cursor& c : cursors) {
+    if (c.at != c.end && (!more || *c.at < id)) {
+      id = *c.at;
+      more = true;
+    }
+  }
+  while (more) {
+    size_t hits = 0;
+    bool satisfied = false;
+    more = false;
+    rdf::TermId next = 0;
+    for (Cursor& c : cursors) {
+      c.has = c.at != c.end && *c.at == id;
+      if (c.has) {
+        ++hits;
+        satisfied = satisfied || c.alone;
+        ++c.at;
+      }
+      if (c.at != c.end && (!more || *c.at < next)) {
+        next = *c.at;
+        more = true;
+      }
+    }
+    for (size_t g = 0; !satisfied && g < and_groups.size(); ++g) {
+      satisfied = std::all_of(and_groups[g].begin(), and_groups[g].end(),
+                              [&](size_t i) { return cursors[i].has; });
+    }
+    if (satisfied) {
+      if (num_kept < limit) {
+        kept[hits].push_back(id);
+        ++num_kept;
+      } else if (hits > floor) {
+        kept[floor].pop_back();
+        kept[hits].push_back(id);
+      }
+      if (num_kept == limit) {
+        while (kept[floor].empty()) ++floor;
+        // Every kept id has the most hits possible: no later id can rank.
+        if (floor == max_hits) break;
+      }
+    }
+    id = next;
+  }
+
   std::vector<rdf::TermId> out;
-  out.reserve(ranked.size());
-  for (const auto& [hits, id] : ranked) {
-    (void)hits;
-    out.push_back(id);
+  out.reserve(num_kept);
+  for (size_t h = max_hits; h >= 1; --h) {
+    out.insert(out.end(), kept[h].begin(), kept[h].end());
   }
   return out;
 }

@@ -66,8 +66,22 @@ class TextIndex {
   // distinct query words the literal contains (descending), truncated to
   // `limit`; ties go to the lower id.  The ranking makes maxVR truncation
   // keep the best candidates, as a relevance-ordered text index would.
+  //
+  // One k-way merge over the sorted posting lists of the distinct query
+  // words yields every literal once, in ascending id order, with its hit
+  // count and word mask (one flag per word, so any number of words); an
+  // OR-group is satisfied when its words are a subset of the mask.  The
+  // best `limit` satisfying ids so far sit in one ascending bucket per
+  // hit count, and the buckets are emitted from the highest count down,
+  // so nothing is sorted.  Time is O(postings touched · words); scratch
+  // is O(words) cursors plus at most `limit` ids at once, independent of
+  // the dictionary and of how many literals match.
   std::vector<rdf::TermId> MatchLiterals(const ContainsQuery& query,
                                          size_t limit) const;
+
+  // The ascending ids of the literals containing `word` (a lower-case
+  // token), or nullptr when no literal does.
+  const std::vector<rdf::TermId>* Postings(const std::string& word) const;
 
   // Number of indexed (token -> literal) postings.
   size_t posting_count() const { return posting_count_; }

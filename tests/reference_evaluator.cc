@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rdf/term.h"
+#include "reference_text_index.h"
 
 namespace kgqan::reference {
 
@@ -34,7 +35,8 @@ class Reference {
       auto cq = text::ParseContainsQuery(tp.expr);
       if (!cq.ok()) return cq.status();
       std::vector<rdf::Term> candidates;
-      for (rdf::TermId id : text_.MatchLiterals(*cq, text_limit_)) {
+      for (rdf::TermId id :
+           ReferenceMatchLiterals(text_, *cq, text_limit_)) {
         candidates.push_back(store_.dictionary().Get(id));
       }
       KGQAN_RETURN_IF_ERROR(Bind(tp.var.name, candidates, rows));

@@ -4,9 +4,11 @@
 // It is deliberately plain: solutions are maps from variable name to
 // term, groups are evaluated by nested loops over TripleStore::Match in
 // query order, and there is no planner, no batching and no row cap.  It
-// shares only the AST, the store, its dictionary and the TextIndex with
-// production, so a bug in the production planner, kernels or projection
-// cannot hide in the oracle too.
+// shares only the AST, the store, its dictionary and the TextIndex's
+// posting lists with production (bif:contains goes through the test-only
+// ReferenceMatchLiterals, reference_text_index.h), so a bug in the
+// production planner, kernels, projection or text merge cannot hide in
+// the oracle too.
 //
 // Semantics follow production's group evaluation order: text patterns and
 // VALUES seed bindings, triple patterns join, then UNION branches (each

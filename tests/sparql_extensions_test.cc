@@ -9,6 +9,7 @@
 
 #include "rdf/graph.h"
 #include "sparql/endpoint.h"
+#include "sparql/evaluator.h"
 #include "sparql/parser.h"
 
 namespace kgqan::sparql {
@@ -332,6 +333,40 @@ TEST_F(ExtensionsTest, NestedOptionals) {
     if (rs->At(r, 2).has_value()) ++with_alias;
   }
   EXPECT_EQ(with_alias, 1u);  // Only Everest has the "ne" alias.
+}
+
+// A row cap that cuts an OPTIONAL group short must not leave its row
+// unextended.  With max_rows = 2 the group's first step keeps ?y = y1, y2
+// only, neither has an <r> edge, and the group comes back empty; yet x's
+// one solution extends it to (y3, z), so an unextended (_, _) row would
+// not be a solution.  The row is dropped: a capped result is a
+// sub-multiset of the solutions.
+TEST(OptionalUnderRowCapTest, GroupCutShortDropsItsRow) {
+  Graph g;
+  for (const char* y : {"http://x/y1", "http://x/y2", "http://x/y3"}) {
+    g.AddIris("http://x/x", "http://x/q", y);
+  }
+  g.AddIris("http://x/y3", "http://x/r", "http://x/z");
+  LocalEndpoint endpoint("optional-cap", std::move(g));
+  auto query = ParseQuery(
+      "SELECT ?y ?z WHERE { VALUES ?x { <http://x/x> } "
+      "OPTIONAL { ?x <http://x/q> ?y . ?y <http://x/r> ?z } }");
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (size_t max_rows : {size_t{2}, size_t{100}}) {
+    SCOPED_TRACE("max_rows " + std::to_string(max_rows));
+    EvalOptions opts;
+    opts.max_rows = max_rows;
+    auto rs = Evaluate(*query, endpoint.store(), endpoint.text_index(), opts);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    for (size_t r = 0; r < rs->NumRows(); ++r) {
+      ASSERT_TRUE(rs->At(r, 0).has_value() && rs->At(r, 1).has_value());
+      EXPECT_EQ(rs->At(r, 0)->value, "http://x/y3");
+      EXPECT_EQ(rs->At(r, 1)->value, "http://x/z");
+    }
+    if (max_rows == 100) {
+      EXPECT_EQ(rs->NumRows(), 1u);
+    }
+  }
 }
 
 TEST_F(ExtensionsTest, TextPatternJoinedWithUnion) {
